@@ -35,9 +35,6 @@ fn main() {
         // One-at-a-time vs. batched stream checking; redirect to
         // BENCH_batch.json at the repo root.
         "batch" => print!("{}", bench::batch_json(reps)),
-        // Worker-pool scaling of the check service; redirect to
-        // BENCH_serve.json at the repo root.
-        "serve" => print!("{}", bench::serve_json(reps)),
         // Catalog-wide fan-out: trie/linear routing vs brute force; redirect
         // to BENCH_route.json at the repo root.
         "route" => print!("{}", bench::route_json(reps)),
@@ -74,7 +71,7 @@ fn main() {
         other => {
             eprintln!(
                 "unknown figure '{other}'; expected one of: \
-                 baseline batch serve route routesmoke persist fig12 fig13 fig14 fig15 fig16 fig17 marking \
+                 baseline batch route routesmoke persist fig12 fig13 fig14 fig15 fig16 fig17 marking \
                  ablation \
                  all"
             );

@@ -3,7 +3,8 @@
 //! One runner per table/figure. Absolute numbers differ from the paper's
 //! 2005 Oracle testbed (this is an in-memory engine); each runner's *shape*
 //! is the reproduction target: who wins, by roughly what factor, and where
-//! the differences come from. See EXPERIMENTS.md for recorded runs.
+//! the differences come from. Recorded runs are the `BENCH_*.json` files at
+//! the repository root, each regenerated by one `paper-figures` subcommand.
 
 use std::time::{Duration, Instant};
 
@@ -459,7 +460,7 @@ fn with_projection(mut s: ufilter_rdb::Select, col: ufilter_rdb::ColRef) -> ufil
 }
 
 // ---------------------------------------------------------------------------
-// Ablations — design choices DESIGN.md calls out
+// Ablations — STAR mode, data-check planner, materialization
 // ---------------------------------------------------------------------------
 
 /// Ablation 1: `StarMode::Strict` vs `Refined` — how many of the book
@@ -972,150 +973,5 @@ pub fn persist_json(reps: usize) -> String {
          artifact rehydrate) must be >= 5x faster than cold recompile at N=1000; both paths \
          serve identical wire outcomes (tests/persist_recovery.rs)\",\n  \
          \"reps\": {reps},\n  \"tables\": [\n    {body}\n  ]\n}}\n"
-    )
-}
-
-/// How the service bench delivers the stream to the pool.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeMode {
-    /// One `CHECK`-style request per update (the online serving shape):
-    /// every update is its own one-item job, so cross-update amortization
-    /// comes *only* from worker-affinity cache reuse.
-    PerRequest,
-    /// One `BATCH` request for the whole stream: the batch engine groups
-    /// by target inside each worker's partition.
-    Pipelined,
-}
-
-/// Throughput of the `ufilter-service` worker pool serving the TPC-H
-/// multi-view stream at each worker count in `workers`. Each configuration
-/// gets one warm-up pass (a long-running service measures steady state:
-/// worker probe caches populated, `TAB_…` materializations settled), then
-/// the median of `reps` full-stream passes. Measured in-process — the pool
-/// and sharded catalog, without TCP framing.
-pub fn serve_throughput(
-    mb: usize,
-    len: usize,
-    distinct_keys: usize,
-    reps: usize,
-    workers: &[usize],
-    mode: ServeMode,
-) -> Table {
-    use std::sync::Arc;
-    use ufilter_core::obs::{self, Verb};
-    use ufilter_service::{CheckPool, ShardedCatalog};
-
-    let db = generate(Scale::mb(mb), 42, DeletePolicy::Cascade);
-    let s = stream(StreamSpec { len, distinct_keys }, Scale::mb(mb), 42);
-    let throughput = |d: Duration| -> f64 {
-        if d.as_secs_f64() > 0.0 {
-            len as f64 / d.as_secs_f64()
-        } else {
-            f64::INFINITY
-        }
-    };
-    let run_pass = |pool: &CheckPool| match mode {
-        ServeMode::PerRequest => {
-            let mut reports = 0;
-            for (view, text) in &s {
-                reports += pool.check_one(view, text).len();
-            }
-            reports
-        }
-        ServeMode::Pipelined => pool.check_stream(&s).items.len(),
-    };
-
-    // The percentile columns come from the same lock-free request
-    // histograms the `METRICS` verb scrapes: the pool entry points record
-    // one `check` sample per request (per-request mode) or one `batch`
-    // sample per stream pass (pipelined mode). Diffing snapshots taken
-    // around the measured reps windows out the warm-up pass and any prior
-    // in-process traffic.
-    let verb = match mode {
-        ServeMode::PerRequest => Verb::Check,
-        ServeMode::Pipelined => Verb::Batch,
-    };
-    let us = |nanos: u64| format!("{:.1}", nanos as f64 / 1_000.0);
-
-    let mut rows = Vec::new();
-    let mut base_rate = None;
-    for &w in workers {
-        let catalog = Arc::new(ShardedCatalog::new(db.schema().clone(), w.max(4)));
-        for (name, text) in stream_views() {
-            catalog.add(name, text).expect("evaluation view compiles");
-        }
-        let pool = CheckPool::new(catalog, &db, w);
-        assert!(run_pass(&pool) >= s.len()); // warm-up pass
-        let before = obs::snapshot();
-        let mut samples = Vec::with_capacity(reps);
-        for _ in 0..reps {
-            let t = Instant::now();
-            let n = run_pass(&pool);
-            samples.push(t.elapsed());
-            assert!(n >= s.len());
-        }
-        let lat = obs::snapshot().verb(verb).diff(before.verb(verb));
-        samples.sort();
-        let t = samples[samples.len() / 2];
-        let rate = throughput(t);
-        let base = *base_rate.get_or_insert(rate);
-        rows.push(vec![
-            format!("{w} worker(s)"),
-            ms(t),
-            format!("{rate:.0}"),
-            format!("{:.2}x", rate / base),
-            us(lat.p50()),
-            us(lat.p99()),
-            us(lat.p999()),
-        ]);
-    }
-    let mode_name = match mode {
-        ServeMode::PerRequest => "per-request CHECKs",
-        ServeMode::Pipelined => "pipelined BATCH",
-    };
-    Table {
-        title: format!(
-            "Service throughput, {mode_name}: {len}-update TPC-H multi-view stream, \
-             {distinct_keys}-key pool, DB ≈ {mb} Mb-equivalent (in-process worker pool, \
-             steady state)"
-        ),
-        headers: vec![
-            "Config".into(),
-            "stream (ms)".into(),
-            "updates/s".into(),
-            "vs 1 worker".into(),
-            "p50 (µs)".into(),
-            "p99 (µs)".into(),
-            "p999 (µs)".into(),
-        ],
-        rows,
-    }
-}
-
-/// JSON snapshot behind `paper-figures serve` → `BENCH_serve.json`.
-///
-/// Two effects are measured separately and labelled as such:
-/// * **per-request** serving — every update is its own request, so the
-///   only cross-update amortization is per-worker probe-cache affinity:
-///   more workers ⇒ each sees a smaller target working set ⇒ its cached
-///   `TAB_…` materializations stay fresh instead of thrashing. This gain
-///   exists even on one core.
-/// * **pipelined** batch serving — the whole stream fans out once; gains
-///   here are parallel speedup and require `cores > 1` (the recorded
-///   `cores` field says what the measuring host could possibly show).
-pub fn serve_json(reps: usize) -> String {
-    let cores = std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-    let tables = [
-        serve_throughput(1, 400, 4, reps, &[1, 2, 4], ServeMode::PerRequest),
-        serve_throughput(1, 200, 8, reps, &[1, 4], ServeMode::Pipelined),
-        serve_throughput(1, 200, 1_000_000, reps, &[1, 4], ServeMode::Pipelined),
-    ];
-    let body = tables.iter().map(Table::to_json).collect::<Vec<_>>().join(",\n    ");
-    format!(
-        "{{\n  \"schema_version\": 2,\n  \"note\": \"steady-state medians; per-request gains \
-         are probe-cache affinity (real on any core count), pipelined gains are parallelism \
-         (need cores > 1); p50/p99/p999 are request-latency quantiles from the lock-free \
-         METRICS histograms (check samples per-request, batch samples per stream pass)\",\n  \
-         \"cores\": {cores},\n  \"reps\": {reps},\n  \"tables\": [\n    {body}\n  ]\n}}\n"
     )
 }

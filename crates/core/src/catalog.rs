@@ -45,7 +45,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use ufilter_rdb::{DatabaseSchema, Db, ExecOutcome, Parser, Stmt};
-use ufilter_route::{Footprint, IndexStats, Route, TrieIndex, ViewSignature};
+use ufilter_route::{IndexStats, Route, TrieIndex, ViewSignature};
 use ufilter_xquery::{parse_update, UpdateStmt};
 
 use crate::obs::{self, Stage};
@@ -157,8 +157,8 @@ pub struct BatchStats {
 }
 
 impl BatchStats {
-    /// Accumulate another batch's counters into this one (used by the
-    /// sharded catalog and worker pool when merging partial reports).
+    /// Accumulate another batch's counters into this one (the service's
+    /// worker pool merges one partial report per worker).
     pub fn merge(&mut self, other: &BatchStats) {
         self.items += other.items;
         self.parse_hits += other.parse_hits;
@@ -179,8 +179,8 @@ pub struct BatchReport {
 }
 
 /// Pruning and fan-out counters for catalog-wide checking, aggregated over
-/// one [`ViewCatalog::check_all`] / [`ViewCatalog::check_all_batch`] call (and further
-/// merged across shards/workers by the service layer). Field names match
+/// one [`ViewCatalog::check_all`] / [`ViewCatalog::check_all_batch`] call (or
+/// one service fan-out request). Field names match
 /// the service `STATS` counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FanoutStats {
@@ -323,10 +323,7 @@ pub struct ViewCatalog {
     /// Schema epoch: bumped by [`set_schema`](ViewCatalog::set_schema)
     /// (i.e. on every guarded schema-affecting DDL), and synced into every
     /// caller-held [`ProbeCache`] by the batch engine so probe results can
-    /// never survive a schema change. The sharded service catalog adopts
-    /// new schemas on all shards inside one all-locks critical section, so
-    /// shard epochs advance in lockstep and a worker cache shared across
-    /// shards never thrashes.
+    /// never survive a schema change.
     epoch: u64,
     /// The shared path-trie relevance index over every registered view,
     /// maintained incrementally by `add`/`drop_view` (see
@@ -335,7 +332,7 @@ pub struct ViewCatalog {
     /// Durable backing store (see [`crate::persist`]). When attached, every
     /// mutating operation appends (and fsyncs) its record **before** the
     /// in-memory mutation is acknowledged. Shared behind a mutex because the
-    /// sharded service catalog funnels all shards into one log.
+    /// service reads its counters and syncs it without the catalog lock.
     store: Option<Arc<Mutex<CatalogStore>>>,
 }
 
@@ -515,15 +512,8 @@ impl ViewCatalog {
         self.index.route(u)
     }
 
-    /// [`route_update`](Self::route_update) for a pre-extracted
-    /// [`Footprint`] — the sharded service catalog extracts one footprint
-    /// per request and routes it through every shard's index.
-    pub fn route_footprint(&self, fp: &Footprint) -> Route {
-        self.index.route_footprint(fp)
-    }
-
     /// Resident-size and churn gauges of the routing index (the service
-    /// `STATS` verb sums these across shards).
+    /// `STATS` verb reports these).
     pub fn index_stats(&self) -> IndexStats {
         self.index.stats()
     }
@@ -594,9 +584,7 @@ impl ViewCatalog {
     /// Adopt `schema` as the compile target for future registrations and
     /// clear the compile-once cache — its artifacts were compiled against
     /// the old schema, so re-adding a view must recompile (and may now
-    /// rightly fail) rather than resurrect a stale ASG. The sharded
-    /// concurrent catalog in `ufilter-service` calls this on every shard
-    /// after executing guarded DDL once against the shared database.
+    /// rightly fail) rather than resurrect a stale ASG.
     pub fn set_schema(&mut self, schema: DatabaseSchema) {
         self.schema = schema;
         self.compiled.clear();
@@ -619,23 +607,10 @@ impl ViewCatalog {
     /// the `cached` flag so `CATALOG LIST` output is byte-identical after
     /// a restart. Returns whether compiling was skipped.
     ///
-    /// This is a [`replay`](Self::replay) building block: it never appends
-    /// to an attached store.
-    pub fn add_rehydrated(
-        &mut self,
-        name: &str,
-        view_text: &str,
-        deps: &[String],
-        cached: bool,
-        artifact: &[u8],
-    ) -> Result<bool, CatalogError> {
-        let schema = Arc::new(self.schema.clone());
-        self.add_rehydrated_at(name, view_text, deps, cached, artifact, &schema)
-    }
-
-    /// [`add_rehydrated`](Self::add_rehydrated) against a caller-supplied
-    /// schema snapshot — [`replay`](Self::replay) clones the schema once
-    /// per DDL epoch instead of once per view.
+    /// `schema` is the snapshot a lazily-hydrated view compiles against:
+    /// [`replay`](Self::replay) clones the schema once per DDL epoch
+    /// instead of once per view. This is a replay building block: it never
+    /// appends to an attached store.
     fn add_rehydrated_at(
         &mut self,
         name: &str,
@@ -691,10 +666,11 @@ impl ViewCatalog {
     }
 
     /// Rebuild the catalog from recovered records, in order: `Add`s
-    /// rehydrate (see [`add_rehydrated`](Self::add_rehydrated)), `Drop`s
-    /// unregister, `Ddl`s re-execute against `db` through the normal
-    /// guarded path — so the relevance index, dependency postings and
-    /// schema epoch come out exactly as if the original session had run.
+    /// rehydrate (preferring the persisted compile artifact, deferring its
+    /// ASG decode to the view's first check), `Drop`s unregister, `Ddl`s
+    /// re-execute against `db` through the normal guarded path — so the
+    /// relevance index, dependency postings and schema epoch come out
+    /// exactly as if the original session had run.
     ///
     /// Must be called **before** [`attach_store`](Self::attach_store):
     /// replayed records are already on disk, and an attached store would
@@ -773,8 +749,8 @@ impl ViewCatalog {
     }
 
     /// [`check_batch_text_with_cache`](Self::check_batch_text_with_cache)
-    /// over borrowed items — the zero-copy entry point the sharded service
-    /// catalog feeds worker partitions through.
+    /// over borrowed items — the zero-copy entry point the service catalog
+    /// feeds worker partitions through.
     pub fn check_batch_refs(
         &self,
         items: &[(&str, &str)],

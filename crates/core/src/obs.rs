@@ -169,25 +169,6 @@ impl HistogramSnapshot {
         self.max = self.max.max(other.max);
     }
 
-    /// The interval recording `self − earlier`, where `earlier` is a prior
-    /// snapshot of the same (monotonic) histogram — the bench harness uses
-    /// this to extract per-run percentiles from the process-lifetime
-    /// registry. `max` cannot be windowed and keeps `self`'s value (an
-    /// upper bound for the interval).
-    pub fn diff(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        HistogramSnapshot {
-            counts: self
-                .counts
-                .iter()
-                .zip(&earlier.counts)
-                .map(|(a, b)| a.saturating_sub(*b))
-                .collect(),
-            count: self.count.saturating_sub(earlier.count),
-            sum: self.sum.wrapping_sub(earlier.sum),
-            max: self.max,
-        }
-    }
-
     /// The `q`-quantile (`0.0..=1.0`) as the upper bound of the bucket
     /// holding the rank-`⌈q·count⌉` value — exact to one bucket, i.e.
     /// within 6.25 % of the true order statistic. Returns 0 when empty.
@@ -204,26 +185,6 @@ impl HistogramSnapshot {
             }
         }
         bucket_upper(BUCKETS - 1)
-    }
-
-    /// Median ([`quantile`](Self::quantile) 0.5).
-    pub fn p50(&self) -> u64 {
-        self.quantile(0.5)
-    }
-
-    /// 90th percentile.
-    pub fn p90(&self) -> u64 {
-        self.quantile(0.9)
-    }
-
-    /// 99th percentile.
-    pub fn p99(&self) -> u64 {
-        self.quantile(0.99)
-    }
-
-    /// 99.9th percentile.
-    pub fn p999(&self) -> u64 {
-        self.quantile(0.999)
     }
 }
 
@@ -358,12 +319,12 @@ impl Verb {
     }
 }
 
-/// Which shard lock a hold-time sample came from.
+/// Which side of the catalog lock a hold-time sample came from.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LockKind {
-    /// A shard read lock (the check hot path).
+    /// The read lock (the check hot path).
     Read,
-    /// A shard write lock (catalog mutation / guarded DDL sweep).
+    /// The write lock (catalog mutation / guarded DDL).
     Write,
 }
 
@@ -419,17 +380,16 @@ impl Recorder {
 }
 
 /// Every histogram family, merged across all thread recorders — what the
-/// `METRICS` verb renders and the bench harness windows with
-/// [`HistogramSnapshot::diff`].
+/// `METRICS` verb renders.
 #[derive(Debug, Clone)]
 pub struct MetricsSnapshot {
     stages: Vec<HistogramSnapshot>,
     verbs: Vec<HistogramSnapshot>,
     /// Time a pool job spent queued before a worker picked it up.
     pub queue_wait: HistogramSnapshot,
-    /// Shard read-lock acquire + hold time on the check path.
+    /// Catalog read-lock acquire + hold time on the check path.
     pub lock_read: HistogramSnapshot,
-    /// Shard write-lock acquire + hold time (mutations, DDL sweeps).
+    /// Catalog write-lock acquire + hold time (mutations, guarded DDL).
     pub lock_write: HistogramSnapshot,
     /// Durable-log append (write) latency.
     pub persist_append: HistogramSnapshot,
@@ -591,7 +551,7 @@ pub fn queue_wait_elapsed(start: Option<Instant>) {
     }
 }
 
-/// Record a shard-lock acquire + hold span started at [`clock()`].
+/// Record a catalog-lock acquire + hold span started at [`clock()`].
 pub fn lock_hold_elapsed(kind: LockKind, start: Option<Instant>) {
     if let Some(t) = start {
         let nanos = elapsed_nanos(t);
@@ -694,14 +654,14 @@ mod tests {
         assert_eq!(s.count(), 1000);
         assert_eq!(s.max(), 1000);
         // The reported quantile's bucket equals the true order statistic's.
-        assert_eq!(bucket_index(s.p50()), bucket_index(500));
-        assert_eq!(bucket_index(s.p99()), bucket_index(990));
-        assert_eq!(bucket_index(s.p999()), bucket_index(1000));
+        assert_eq!(bucket_index(s.quantile(0.5)), bucket_index(500));
+        assert_eq!(bucket_index(s.quantile(0.99)), bucket_index(990));
+        assert_eq!(bucket_index(s.quantile(0.999)), bucket_index(1000));
         assert_eq!(HistogramSnapshot::empty().quantile(0.5), 0);
     }
 
     #[test]
-    fn snapshot_merge_and_diff_are_inverse() {
+    fn snapshot_merge_adds_and_commutes() {
         let a = Histogram::new();
         let b = Histogram::new();
         for v in [0u64, 1, 15, 16, 17, 1_000, u64::MAX] {
@@ -714,8 +674,6 @@ mod tests {
         let mut merged = sa.clone();
         merged.merge(&sb);
         assert_eq!(merged.count(), 10);
-        assert_eq!(merged.diff(&sb).counts, sa.counts);
-        assert_eq!(merged.diff(&sb).count(), sa.count());
         // Commutative.
         let mut other = sb.clone();
         other.merge(&sa);

@@ -181,19 +181,6 @@ pub struct ReplayStats {
     pub recompiled: usize,
 }
 
-impl ReplayStats {
-    /// Accumulate another replay's counters (the sharded catalog merges
-    /// per-shard replays).
-    pub fn merge(&mut self, other: &ReplayStats) {
-        self.records += other.records;
-        self.adds += other.adds;
-        self.drops += other.drops;
-        self.ddl += other.ddl;
-        self.rehydrated += other.rehydrated;
-        self.recompiled += other.recompiled;
-    }
-}
-
 /// What [`CatalogStore::verify`] found. All fields are observations — a
 /// verify never mutates the files (in particular it does **not** truncate a
 /// torn tail; only `open` does).

@@ -16,8 +16,9 @@ use ufilter_xquery::UpdateKind;
 use crate::outcome::Condition;
 use crate::target::ResolvedAction;
 
-/// How Observation 2 treats Rule-3-induced unsafe-insert nodes
-/// (DESIGN.md faithfulness note 2).
+/// How Observation 2 treats Rule-3-induced unsafe-insert nodes. The paper
+/// states Observation 2 as a flat rejection but its narrative discharges
+/// such inserts with a data check; both readings are offered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum StarMode {
     /// Observation 2 verbatim: insertion on any unsafe-insert node is
@@ -144,7 +145,7 @@ pub fn mark(asg: &mut ViewAsg, base: &BaseAsg, schema: &DatabaseSchema) -> StarM
 
 /// Rule 1 for one starred internal node: does its edge lack a *proper Join*?
 ///
-/// Two sub-checks (see DESIGN.md):
+/// Two sub-checks:
 /// (a) when the parent is itself repeatable (non-root), some condition must
 ///     link a new relation of `c` to a parent-scope relation through that
 ///     parent relation's unique identifier — otherwise every parent

@@ -39,8 +39,9 @@ pub fn validate(asg: &ViewAsg, action: &ResolvedAction) -> Result<(), InvalidRea
                     }
                     Ok(())
                 }
-                // Deletes of complex elements flow to STAR (u2 is *valid*
-                // yet untranslatable; see DESIGN.md faithfulness note 1).
+                // Deletes of complex elements flow to STAR: the paper's u2
+                // is *valid* (the schema allows it) yet untranslatable, and
+                // deciding that is Step 2's job, not Step 1's.
                 // Aggregate values are likewise *valid* to address — the
                 // non-injective classification then rejects them with a
                 // precise reason rather than calling the update malformed.

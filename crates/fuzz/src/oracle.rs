@@ -413,11 +413,11 @@ impl TcpHarness {
             update: String::new(),
             detail,
         };
-        let sharded = ShardedCatalog::new(schema.clone(), 2);
+        let catalog = ShardedCatalog::new(schema.clone());
         for (name, text) in &plan.views {
-            sharded.add(name, text).map_err(|e| gen_err(format!("server add {name}: {e}")))?;
+            catalog.add(name, text).map_err(|e| gen_err(format!("server add {name}: {e}")))?;
         }
-        let server = CheckServer::bind("127.0.0.1:0", Arc::new(sharded), db, 2)
+        let server = CheckServer::bind("127.0.0.1:0", Arc::new(catalog), db, 2)
             .map_err(|e| gen_err(format!("bind: {e}")))?;
         let addr = server.local_addr();
         let handle = server.shutdown_handle();

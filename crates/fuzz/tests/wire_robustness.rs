@@ -36,7 +36,7 @@ fn known_check(addr: SocketAddr) -> String {
 #[test]
 fn adversarial_frames_never_kill_the_server() {
     let db = bookdemo::book_db();
-    let sharded = ShardedCatalog::new(bookdemo::book_schema(), 2);
+    let sharded = ShardedCatalog::new(bookdemo::book_schema());
     sharded.add("books", bookdemo::BOOK_VIEW).expect("demo view compiles");
     let server =
         CheckServer::bind("127.0.0.1:0", Arc::new(sharded), &db, 2).expect("ephemeral bind");

@@ -192,19 +192,42 @@ pub(crate) fn intersect_with(current: &mut Vec<u32>, other: &[u32]) {
     *current = out;
 }
 
-/// Union of sorted id lists (deduplicated, sorted).
+/// Union of sorted id lists (deduplicated, sorted). The longest list —
+/// typically the predicate level's pass-through postings, which hold most
+/// of the catalog — is merged linearly against the sorted, deduplicated
+/// rest, so it is never re-sorted.
 pub(crate) fn union(lists: &[&[u32]]) -> Vec<u32> {
-    let mut out: Vec<u32> = Vec::with_capacity(lists.iter().map(|l| l.len()).sum());
-    for l in lists {
-        out.extend_from_slice(l);
+    let Some(longest) = (0..lists.len()).max_by_key(|&i| lists[i].len()) else {
+        return Vec::new();
+    };
+    let big = lists[longest];
+    let mut rest: Vec<u32> = Vec::new();
+    for (i, l) in lists.iter().enumerate() {
+        if i != longest {
+            rest.extend_from_slice(l);
+        }
     }
-    out.sort_unstable();
-    out.dedup();
+    rest.sort_unstable();
+    rest.dedup();
+    let mut out = Vec::with_capacity(big.len() + rest.len());
+    let (mut i, mut j) = (0, 0);
+    while i < big.len() || j < rest.len() {
+        let next = if j == rest.len() || (i < big.len() && big[i] <= rest[j]) {
+            i += 1;
+            big[i - 1]
+        } else {
+            j += 1;
+            rest[j - 1]
+        };
+        if out.last() != Some(&next) {
+            out.push(next);
+        }
+    }
     out
 }
 
 /// Resident-size and churn gauges of one routing index, as the service
-/// `STATS` verb reports them (summed across shards).
+/// `STATS` verb reports them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexStats {
     /// Live trie nodes (anchored root children, floating tag nodes, edge
@@ -222,21 +245,45 @@ pub struct IndexStats {
     pub removes: u64,
 }
 
-impl IndexStats {
-    /// Accumulate another index's gauges (the sharded catalog merges one
-    /// `IndexStats` per shard).
-    pub fn merge(&mut self, other: &IndexStats) {
-        self.nodes += other.nodes;
-        self.postings += other.postings;
-        self.bytes += other.bytes;
-        self.inserts += other.inserts;
-        self.removes += other.removes;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+
+    /// A sorted, duplicate-free id list (a posting list) of up to
+    /// `max_len - 1` ids below `universe`.
+    fn sorted_set(universe: u32, max_len: usize) -> impl Strategy<Value = Vec<u32>> {
+        prop::collection::btree_set(0..universe, 0..max_len).prop_map(|s| s.into_iter().collect())
+    }
+
+    /// Posting-list sets in the shapes routing produces: none at all,
+    /// singletons, many lists over a tiny id range (duplicate-heavy), and
+    /// one long pass-through list beside short target lists (skewed).
+    fn list_sets() -> impl Strategy<Value = Vec<Vec<u32>>> {
+        prop_oneof![
+            prop::collection::vec(sorted_set(1000, 2), 0..5),
+            prop::collection::vec(sorted_set(6, 6), 0..9),
+            (sorted_set(5000, 800), prop::collection::vec(sorted_set(5000, 5), 0..7)).prop_map(
+                |(big, mut small)| {
+                    small.insert(small.len() / 2, big);
+                    small
+                }
+            ),
+        ]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        #[test]
+        fn union_matches_concat_sort_dedup(lists in list_sets()) {
+            let refs: Vec<&[u32]> = lists.iter().map(Vec::as_slice).collect();
+            let mut oracle: Vec<u32> = lists.concat();
+            oracle.sort_unstable();
+            oracle.dedup();
+            prop_assert_eq!(union(&refs), oracle);
+        }
+    }
 
     #[test]
     fn interner_recycles_ids() {
@@ -267,6 +314,7 @@ mod tests {
     fn merge_helpers() {
         assert_eq!(intersect(vec![&[1, 2, 3, 9], &[2, 3, 4], &[0, 2, 3]]), [2, 3]);
         assert_eq!(union(&[&[1, 5], &[2, 5, 7]]), [1, 2, 5, 7]);
+        assert_eq!(union(&[]), Vec::<u32>::new());
         let mut cur = vec![1u32, 2, 3];
         intersect_with(&mut cur, &[2, 3, 4]);
         assert_eq!(cur, [2, 3]);

@@ -1,36 +1,32 @@
-//! The sharded concurrent catalog: an `Arc`-shareable, `Sync` wrapper that
-//! spreads registered views over N independently-locked [`ViewCatalog`]
-//! shards.
+//! The concurrent catalog: an `Arc`-shareable, `Sync` wrapper that puts one
+//! [`ViewCatalog`] behind one `RwLock` — one writer, many concurrent
+//! readers.
 //!
-//! Views hash to shards by name ([`ShardedCatalog::shard_of`]), so the
-//! read-mostly check path takes exactly one shard **read** lock, while
-//! catalog mutations (`add`/`drop_view`) take one targeted shard **write**
-//! lock. Only guarded DDL — which changes the schema every shard compiles
-//! against — locks all shards, and it does so under the crate's single
-//! lock-ordering rule:
+//! Checks and routing take the **read** lock once per call; `add`,
+//! `drop_view`, guarded DDL and replay take the **write** lock once and
+//! delegate to the matching [`ViewCatalog`] method. No path ever holds two
+//! guards, so there is no lock order to keep.
 //!
-//! > **Lock order:** shard locks are only ever acquired in ascending shard
-//! > index, and no thread holds two shard locks unless it is the DDL path
-//! > acquiring *all* of them (ascending). Check/list paths lock one shard
-//! > at a time.
-//!
-//! That rule makes deadlock impossible: every multi-lock acquisition is a
-//! prefix-ordered sweep, and single-lock acquisitions cannot form a cycle.
+//! One hazard remains: std's `RwLock` may block new readers while a writer
+//! waits, so a thread that held a read guard while waiting on another
+//! reader (a [`CheckPool`](crate::CheckPool) worker takes its own read
+//! lock) could deadlock behind a queued writer. The guard accessor is
+//! crate-private for that reason, and the pool drops its guard before it
+//! dispatches any work.
 
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use ufilter_core::catalog::is_schema_ddl;
 use ufilter_core::obs::{self, LockKind};
 use ufilter_core::{
-    BatchItemReport, BatchReport, BatchStats, CatalogError, CatalogStore, Footprint, IndexStats,
-    LogRecord, ProbeCache, ReplayStats, Route, UFilterConfig, ViewCatalog, ViewInfo,
+    BatchItemReport, BatchReport, BatchStats, CatalogError, CatalogStore, IndexStats, LogRecord,
+    ProbeCache, ReplayStats, Route, UFilterConfig, ViewCatalog, ViewInfo,
 };
-use ufilter_rdb::{DatabaseSchema, Db, ExecOutcome, Parser, Stmt};
+use ufilter_rdb::{DatabaseSchema, Db, ExecOutcome};
 use ufilter_xquery::UpdateStmt;
 
-/// FNV-1a 64-bit hash — deterministic across runs and processes, so view →
-/// shard and (view, update) → worker routing is stable (std's default
-/// hasher is randomly seeded per `RandomState`, which would make routing
+/// FNV-1a 64-bit hash — deterministic across runs and processes, so
+/// (view, update) → worker routing is stable (std's default hasher is
+/// randomly seeded per `RandomState`, which would make routing
 /// unreproducible between a server and its replay).
 pub fn affinity_hash(parts: &[&str]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -46,49 +42,50 @@ pub fn affinity_hash(parts: &[&str]) -> u64 {
     h
 }
 
-/// A concurrent, sharded view catalog. See the [module docs](self) for the
-/// locking design; per-shard semantics are exactly [`ViewCatalog`]'s
-/// (compile-once cache, RESTRICT DDL guard, batch amortization).
+/// A concurrent view catalog: one [`ViewCatalog`] behind one lock. See the
+/// [module docs](self) for the locking design; semantics are exactly
+/// [`ViewCatalog`]'s (compile-once cache, RESTRICT DDL guard, batch
+/// amortization).
+///
+/// The name is historical: the catalog was once split into per-name
+/// shards. The sharded API survives where callers still use it
+/// ([`with_config`](Self::with_config)'s `shards` argument and
+/// [`shard_of`](Self::shard_of), both no-ops kept for the `ledger/`
+/// harness).
 pub struct ShardedCatalog {
-    shards: Vec<RwLock<ViewCatalog>>,
-    /// Shared durable store (see [`ufilter_core::persist`]): one log for
-    /// the whole catalog, so record order is exactly acknowledgment order
-    /// across shards. Each shard holds a clone for its own `add`/`drop`
-    /// appends; this handle serves guarded-DDL appends and the service's
-    /// `STATS`/`SHUTDOWN`/`CATALOG VERIFY` paths.
+    inner: RwLock<ViewCatalog>,
+    /// The durable store attached to `inner` (see
+    /// [`ufilter_core::persist`]), kept here too so the service's
+    /// `STATS`/`SHUTDOWN`/`CATALOG VERIFY` paths reach it without the
+    /// catalog lock.
     store: Option<Arc<Mutex<CatalogStore>>>,
 }
 
 impl ShardedCatalog {
-    /// A catalog of `shards` shards (at least 1) over `schema`, with the
-    /// default pipeline config.
-    pub fn new(schema: DatabaseSchema, shards: usize) -> ShardedCatalog {
-        ShardedCatalog::with_config(schema, UFilterConfig::default(), shards)
+    /// An empty catalog over `schema`, with the default pipeline config.
+    pub fn new(schema: DatabaseSchema) -> ShardedCatalog {
+        ShardedCatalog::with_config(schema, UFilterConfig::default(), 1)
     }
 
-    /// [`new`](Self::new) with an explicit pipeline configuration.
+    /// An empty catalog over `schema` with an explicit pipeline
+    /// configuration. `_shards` is ignored: there is one catalog.
     pub fn with_config(
         schema: DatabaseSchema,
         config: UFilterConfig,
-        shards: usize,
+        _shards: usize,
     ) -> ShardedCatalog {
-        let shards = shards.max(1);
         ShardedCatalog {
-            shards: (0..shards)
-                .map(|_| RwLock::new(ViewCatalog::new(schema.clone()).with_config(config)))
-                .collect(),
+            inner: RwLock::new(ViewCatalog::new(schema).with_config(config)),
             store: None,
         }
     }
 
-    /// Attach a durable store to every shard (and keep a handle for the
-    /// DDL/service paths): from now on all catalog mutations append their
-    /// record before acknowledging. Call **after** [`replay`](Self::replay)
-    /// and before the catalog is shared (`&mut self` enforces both).
+    /// Attach a durable store: from now on all catalog mutations append
+    /// their record before acknowledging. Call **after**
+    /// [`replay`](Self::replay) and before the catalog is shared (`&mut
+    /// self` enforces both).
     pub fn attach_store(&mut self, store: Arc<Mutex<CatalogStore>>) {
-        for shard in &self.shards {
-            shard.write().expect("catalog shard lock poisoned").attach_store(Arc::clone(&store));
-        }
+        self.inner.get_mut().expect("catalog lock poisoned").attach_store(Arc::clone(&store));
         self.store = Some(store);
     }
 
@@ -97,288 +94,113 @@ impl ShardedCatalog {
         self.store.as_ref()
     }
 
-    /// Rebuild the catalog from recovered records: `Add`s rehydrate into
-    /// their name's shard, `Drop`s unregister from it, `Ddl`s re-execute
-    /// through the all-shards guarded path — exactly the work the original
-    /// session did, so list order, relevance routing and check outcomes
-    /// come out identical. Must run before [`attach_store`](Self::attach_store).
+    /// Rebuild the catalog from recovered records ([`ViewCatalog::replay`]
+    /// under the write lock). Must run before
+    /// [`attach_store`](Self::attach_store).
     pub fn replay(&self, db: &mut Db, records: &[LogRecord]) -> Result<ReplayStats, CatalogError> {
-        if self.store.is_some() {
-            return Err(CatalogError::Persist {
-                detail: "replay must run before attach_store (records would be re-appended)".into(),
-            });
-        }
-        let mut stats = ReplayStats::default();
-        for record in records {
-            stats.records += 1;
-            match record {
-                LogRecord::Add { name, view_text, deps, cached, artifact } => {
-                    stats.adds += 1;
-                    let rehydrated = self
-                        .write(self.shard_of(name))
-                        .add_rehydrated(name, view_text, deps, *cached, artifact)?;
-                    if rehydrated {
-                        stats.rehydrated += 1;
-                    } else {
-                        stats.recompiled += 1;
-                    }
-                }
-                LogRecord::Drop { name } => {
-                    stats.drops += 1;
-                    self.write(self.shard_of(name)).drop_view(name)?;
-                }
-                LogRecord::Ddl { sql } => {
-                    stats.ddl += 1;
-                    self.execute_guarded(db, sql)?;
-                }
-            }
-        }
-        Ok(stats)
+        self.write().replay(db, records)
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
+    /// Always 0: there is one catalog. Kept for callers written against
+    /// the sharded API.
+    pub fn shard_of(&self, _view: &str) -> usize {
+        0
     }
 
-    /// The shard a view name hashes to.
-    pub fn shard_of(&self, view: &str) -> usize {
-        (affinity_hash(&[view]) % self.shards.len() as u64) as usize
+    /// The read guard. Never hold it across a [`CheckPool`](crate::CheckPool)
+    /// dispatch (see the [module docs](self)).
+    pub(crate) fn read(&self) -> RwLockReadGuard<'_, ViewCatalog> {
+        self.inner.read().expect("catalog lock poisoned")
     }
 
-    fn read(&self, i: usize) -> RwLockReadGuard<'_, ViewCatalog> {
-        self.shards[i].read().expect("catalog shard lock poisoned")
+    fn write(&self) -> RwLockWriteGuard<'_, ViewCatalog> {
+        self.inner.write().expect("catalog lock poisoned")
     }
 
-    fn write(&self, i: usize) -> RwLockWriteGuard<'_, ViewCatalog> {
-        self.shards[i].write().expect("catalog shard lock poisoned")
-    }
-
-    /// Register `view_text` under `name` (one shard write lock). A name may
-    /// exist in at most one shard by construction, so [`ViewCatalog::add`]'s
-    /// duplicate check remains authoritative.
+    /// Register `view_text` under `name` (one write lock).
     pub fn add(&self, name: &str, view_text: &str) -> Result<ViewInfo, CatalogError> {
         let span = obs::clock();
-        let out = self.write(self.shard_of(name)).add(name, view_text);
+        let out = self.write().add(name, view_text);
         obs::lock_hold_elapsed(LockKind::Write, span);
         out
     }
 
-    /// Unregister `name` (one shard write lock).
+    /// Unregister `name` (one write lock).
     pub fn drop_view(&self, name: &str) -> Result<(), CatalogError> {
         let span = obs::clock();
-        let out = self.write(self.shard_of(name)).drop_view(name);
+        let out = self.write().drop_view(name);
         obs::lock_hold_elapsed(LockKind::Write, span);
         out
     }
 
-    /// All registered views in name order (read locks, one shard at a time,
-    /// ascending).
+    /// All registered views in name order.
     pub fn list(&self) -> Vec<ViewInfo> {
-        let mut out: Vec<ViewInfo> = Vec::new();
-        for i in 0..self.shards.len() {
-            out.extend(self.read(i).list());
-        }
-        out.sort_by(|a, b| a.name.cmp(&b.name));
-        out
+        self.read().list()
     }
 
-    /// Total number of registered views.
+    /// Number of registered views.
     pub fn len(&self) -> usize {
-        (0..self.shards.len()).map(|i| self.read(i).len()).sum()
+        self.read().len()
     }
 
-    /// Whether no view is registered in any shard.
+    /// Whether no view is registered.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.read().is_empty()
     }
 
-    /// Compile-once cache hits summed over all shards.
-    pub fn compile_cache_hits(&self) -> usize {
-        (0..self.shards.len()).map(|i| self.read(i).compile_cache_hits()).sum()
-    }
-
-    /// Names of registered views (any shard) that read `relation`, in
-    /// ascending name order.
-    pub fn dependents_of(&self, relation: &str) -> Vec<String> {
-        let mut out: Vec<String> = Vec::new();
-        for i in 0..self.shards.len() {
-            out.extend(self.read(i).dependents_of(relation));
-        }
-        out.sort();
-        out
-    }
-
-    /// Route a parsed update across every shard's relevance index: the
-    /// merged candidate set (ascending name order) plus summed per-level
-    /// pruning counters. Read locks, one shard at a time, ascending — the
-    /// lock-ordering rule.
+    /// Route a parsed update through the relevance index: the candidate
+    /// views (ascending name order) plus per-level pruning counters.
     pub fn route_update(&self, u: &UpdateStmt) -> Route {
-        // One footprint extraction per request, shared by every shard.
-        let fp = Footprint::of(u);
-        let mut merged = Route::default();
-        for i in 0..self.shards.len() {
-            let route = self.read(i).route_footprint(&fp);
-            merged.views += route.views;
-            merged.pruned_tags += route.pruned_tags;
-            merged.pruned_paths += route.pruned_paths;
-            merged.pruned_preds += route.pruned_preds;
-            merged.fallback |= route.fallback;
-            merged.candidates.extend(route.candidates);
-        }
-        merged.candidates.sort();
-        merged
+        self.read().route_update(u)
     }
 
-    /// The views a parsed update could possibly affect, across all shards,
-    /// in ascending name order (a sound superset — see `ufilter_route`).
-    pub fn relevant_views(&self, u: &UpdateStmt) -> Vec<String> {
-        self.route_update(u).candidates
-    }
-
-    /// Routing-index gauges summed over every shard's trie (read locks,
-    /// one shard at a time, ascending): live nodes, posting entries,
-    /// approximate resident bytes, and incremental insert/remove counts
-    /// since the process started. The service `STATS` verb reports these.
+    /// Routing-index gauges: live nodes, posting entries, approximate
+    /// resident bytes, and incremental insert/remove counts. The service
+    /// `STATS` verb reports these.
     pub fn index_stats(&self) -> IndexStats {
-        let mut merged = IndexStats::default();
-        for i in 0..self.shards.len() {
-            merged.merge(&self.read(i).index_stats());
-        }
-        merged
+        self.read().index_stats()
     }
 
-    /// The RESTRICT rule across every shard: reject schema-affecting DDL on
-    /// a relation any registered view reads. Advisory only — the atomic
-    /// guard-and-execute is [`execute_guarded`](Self::execute_guarded),
-    /// which re-checks under write locks.
-    pub fn guard_ddl(&self, stmt: &Stmt) -> Result<(), CatalogError> {
-        for i in 0..self.shards.len() {
-            self.read(i).guard_ddl(stmt)?;
-        }
-        Ok(())
-    }
-
-    /// Parse `sql`, then [`execute_guarded_stmt`](Self::execute_guarded_stmt).
-    /// With a store attached, successfully-executed schema DDL is appended
-    /// once (by this wrapper, not per shard — the statement path below has
-    /// no SQL text to log). See [`ViewCatalog::execute_guarded`] for the
-    /// re-execute-on-replay rationale.
+    /// [`ViewCatalog::execute_guarded`] under the write lock: the RESTRICT
+    /// guard, the statement, the schema refresh and (with a store
+    /// attached) the log append happen in one critical section, so
+    /// concurrent checks never observe a half-updated catalog.
     pub fn execute_guarded(&self, db: &mut Db, sql: &str) -> Result<ExecOutcome, CatalogError> {
-        let stmt =
-            Parser::parse_stmt(sql).map_err(|e| CatalogError::Sql { detail: e.to_string() })?;
-        let ddl = is_schema_ddl(&stmt);
-        let out = self.execute_guarded_stmt(db, stmt)?;
-        if ddl {
-            if let Some(store) = &self.store {
-                store
-                    .lock()
-                    .expect("catalog store lock")
-                    .append(&LogRecord::Ddl { sql: sql.to_string() })
-                    .map_err(|e| CatalogError::Persist { detail: e.to_string() })?;
-            }
-        }
-        Ok(out)
-    }
-
-    /// Guard and execute one statement atomically with respect to catalog
-    /// mutation: **all** shard write locks are taken (ascending index — the
-    /// lock-ordering rule), the guard is evaluated under them, the statement
-    /// runs against `db`, and on schema-affecting DDL every shard adopts the
-    /// new schema before any lock is released. Concurrent checks therefore
-    /// never observe a half-updated catalog.
-    pub fn execute_guarded_stmt(
-        &self,
-        db: &mut Db,
-        stmt: Stmt,
-    ) -> Result<ExecOutcome, CatalogError> {
         let span = obs::clock();
-        let mut guards: Vec<RwLockWriteGuard<'_, ViewCatalog>> =
-            (0..self.shards.len()).map(|i| self.write(i)).collect();
-        let out = Self::run_under_guards(&mut guards, db, stmt);
-        drop(guards);
+        let out = self.write().execute_guarded(db, sql);
         obs::lock_hold_elapsed(LockKind::Write, span);
         out
     }
 
-    /// [`execute_guarded_stmt`](Self::execute_guarded_stmt)'s body with
-    /// every shard write lock already held.
-    fn run_under_guards(
-        guards: &mut [RwLockWriteGuard<'_, ViewCatalog>],
-        db: &mut Db,
-        stmt: Stmt,
-    ) -> Result<ExecOutcome, CatalogError> {
-        for shard in guards.iter() {
-            shard.guard_ddl(&stmt)?;
-        }
-        let ddl = is_schema_ddl(&stmt);
-        let out = db.run(stmt).map_err(|e| CatalogError::Sql { detail: e.to_string() })?;
-        if ddl {
-            for shard in guards.iter_mut() {
-                shard.set_schema(db.schema().clone());
-            }
-        }
-        Ok(out)
-    }
-
-    /// Check a stream of `(global index, view, update text)` items, sharing
-    /// `cache` across the whole call. Items are grouped by shard; each
-    /// shard's sub-batch runs under that shard's read lock (one at a time,
-    /// ascending — the lock-ordering rule), then reports are re-indexed to
-    /// the caller's global indices and merged back into index order.
-    ///
-    /// Outcomes are identical to a single [`ViewCatalog`] holding every
-    /// view: grouping by shard only changes *which* probe scans are shared,
-    /// never any per-item classification (batch checking is check-only, so
-    /// probe results cannot be invalidated mid-call).
+    /// Check `(caller index, view, update text)` items in one
+    /// [`ViewCatalog::check_batch_refs`] call under the read lock, sharing
+    /// `cache` across the call. Reports come back in input order, labelled
+    /// with the caller's indices.
     pub fn check_indexed(
         &self,
         items: &[(usize, &str, &str)],
         db: &mut Db,
         cache: &mut ProbeCache,
     ) -> (Vec<BatchItemReport>, BatchStats) {
-        // shard → (global indices, borrowed sub-stream), preserving input
-        // order. Borrowed all the way down (`check_batch_refs`): the hot
-        // path never clones a view name or update text.
-        type ShardSlice<'a> = (Vec<usize>, Vec<(&'a str, &'a str)>);
-        let mut per_shard: Vec<ShardSlice> = vec![(Vec::new(), Vec::new()); self.shards.len()];
-        for (index, view, text) in items.iter().copied() {
-            let (globals, sub) = &mut per_shard[self.shard_of(view)];
-            globals.push(index);
-            sub.push((view, text));
+        let refs: Vec<(&str, &str)> = items.iter().map(|(_, view, text)| (*view, *text)).collect();
+        let span = obs::clock();
+        let report = self.read().check_batch_refs(&refs, db, cache);
+        obs::lock_hold_elapsed(LockKind::Read, span);
+        let mut out = report.items;
+        for item in &mut out {
+            item.index = items[item.index].0;
         }
-        let mut out: Vec<BatchItemReport> = Vec::with_capacity(items.len());
-        let mut stats = BatchStats::default();
-        for (shard, (globals, sub)) in per_shard.into_iter().enumerate() {
-            if sub.is_empty() {
-                continue;
-            }
-            let span = obs::clock();
-            let report = self.read(shard).check_batch_refs(&sub, db, cache);
-            obs::lock_hold_elapsed(LockKind::Read, span);
-            stats.merge(&report.stats);
-            for mut item in report.items {
-                item.index = globals[item.index];
-                out.push(item);
-            }
-        }
-        out.sort_by_key(|i| i.index);
-        (out, stats)
+        (out, report.stats)
     }
 
-    /// Single-threaded convenience over [`check_indexed`](Self::check_indexed)
-    /// with `(view, text)` pairs indexed by position, packaged as a
-    /// [`BatchReport`].
+    /// [`ViewCatalog::check_batch_text`] under the read lock.
     pub fn check_batch_text(&self, items: &[(String, String)], db: &mut Db) -> BatchReport {
-        let indexed: Vec<(usize, &str, &str)> =
-            items.iter().enumerate().map(|(i, (v, t))| (i, v.as_str(), t.as_str())).collect();
-        let (items, stats) = self.check_indexed(&indexed, db, &mut ProbeCache::new());
-        BatchReport { items, stats }
+        self.read().check_batch_text(items, db)
     }
 }
 
-// The whole point of the sharded catalog: it can be shared across worker
-// threads behind an Arc.
+// The whole point of the catalog: it can be shared across worker threads
+// behind an Arc.
 const _: fn() = || {
     fn assert_sync<T: Send + Sync>() {}
     assert_sync::<ShardedCatalog>();
@@ -388,6 +210,7 @@ const _: fn() = || {
 mod tests {
     use super::*;
     use ufilter_core::bookdemo;
+    use ufilter_rdb::Parser;
 
     #[test]
     fn affinity_hash_is_stable_and_separator_aware() {
@@ -396,9 +219,9 @@ mod tests {
     }
 
     #[test]
-    fn add_list_drop_across_shards() {
-        let cat = ShardedCatalog::new(bookdemo::book_schema(), 4);
-        for name in ["a", "b", "c", "d", "e"] {
+    fn add_list_drop() {
+        let cat = ShardedCatalog::new(bookdemo::book_schema());
+        for name in ["d", "b", "a", "e", "c"] {
             cat.add(name, bookdemo::BOOK_VIEW).unwrap();
         }
         assert_eq!(cat.len(), 5);
@@ -408,23 +231,43 @@ mod tests {
         cat.drop_view("c").unwrap();
         assert_eq!(cat.len(), 4);
         assert!(cat.drop_view("c").is_err());
+        assert_eq!(cat.shard_of("a"), 0);
+    }
+
+    /// The wrapper reports exactly what a plain `ViewCatalog` given the
+    /// same adds reports: one trie, not one per partition.
+    #[test]
+    fn index_stats_and_routes_match_a_plain_catalog() {
+        let mut plain = ViewCatalog::new(bookdemo::book_schema());
+        let wrapped = ShardedCatalog::with_config(bookdemo::book_schema(), plain.config(), 4);
+        for name in ["d", "b", "a", "c"] {
+            plain.add(name, bookdemo::BOOK_VIEW).unwrap();
+            wrapped.add(name, bookdemo::BOOK_VIEW).unwrap();
+        }
+        assert_eq!(wrapped.index_stats(), plain.index_stats());
+        for text in [bookdemo::U8, bookdemo::U10, bookdemo::U13] {
+            let u = ufilter_xquery::parse_update(text).unwrap();
+            let (a, b) = (wrapped.route_update(&u), plain.route_update(&u));
+            assert_eq!(a.candidates, b.candidates);
+            assert_eq!(a.candidates, ["a", "b", "c", "d"]);
+            assert_eq!(
+                (a.views, a.pruned_tags, a.pruned_paths, a.pruned_preds, a.fallback),
+                (b.views, b.pruned_tags, b.pruned_paths, b.pruned_preds, b.fallback)
+            );
+        }
     }
 
     #[test]
-    fn sharded_outcomes_match_single_catalog() {
+    fn outcomes_match_a_plain_catalog() {
         let mut single = ViewCatalog::new(bookdemo::book_schema());
         single.add("books", bookdemo::BOOK_VIEW).unwrap();
-        let sharded = ShardedCatalog::new(bookdemo::book_schema(), 3);
-        sharded.add("books", bookdemo::BOOK_VIEW).unwrap();
+        let wrapped = ShardedCatalog::new(bookdemo::book_schema());
+        wrapped.add("books", bookdemo::BOOK_VIEW).unwrap();
 
         let stream: Vec<(String, String)> = [bookdemo::U8, bookdemo::U10, bookdemo::U13]
             .iter()
             .map(|u| ("books".to_string(), u.to_string()))
             .collect();
-        let mut db1 = bookdemo::book_db();
-        let mut db2 = bookdemo::book_db();
-        let a = single.check_batch_text(&stream, &mut db1);
-        let b = sharded.check_batch_text(&stream, &mut db2);
         let wire = |r: &BatchReport| -> Vec<String> {
             r.items
                 .iter()
@@ -433,49 +276,46 @@ mod tests {
                 })
                 .collect()
         };
+        let a = single.check_batch_text(&stream, &mut bookdemo::book_db());
+        let b = wrapped.check_batch_text(&stream, &mut bookdemo::book_db());
         assert_eq!(wire(&a), wire(&b));
+
+        // check_indexed relabels reports with the caller's indices.
+        let indexed: Vec<(usize, &str, &str)> =
+            stream.iter().zip([7, 3, 9]).map(|((v, t), i)| (i, v.as_str(), t.as_str())).collect();
+        let (items, stats) =
+            wrapped.check_indexed(&indexed, &mut bookdemo::book_db(), &mut ProbeCache::new());
+        assert_eq!(items.iter().map(|i| i.index).collect::<Vec<_>>(), [7, 3, 9]);
+        assert_eq!(stats.items, 3);
+        assert_eq!(wire(&BatchReport { items, stats }), wire(&a));
     }
 
     #[test]
-    fn ddl_guard_spans_all_shards() {
-        let cat = ShardedCatalog::new(bookdemo::book_schema(), 4);
+    fn ddl_guard_and_schema_refresh() {
+        let cat = ShardedCatalog::new(bookdemo::book_schema());
         cat.add("books", bookdemo::BOOK_VIEW).unwrap();
         let mut db = bookdemo::book_db();
         let e = cat.execute_guarded(&mut db, "DROP TABLE review").unwrap_err();
         assert!(e.to_string().contains("books"), "{e}");
         // A relation no view reads can be created and dropped; afterwards
-        // every shard has adopted the refreshed schema.
+        // the catalog has adopted the refreshed schema.
         cat.execute_guarded(&mut db, "CREATE TABLE scratch (id INTEGER)").unwrap();
-        assert!(cat.guard_ddl(&Parser::parse_stmt("DROP TABLE scratch").unwrap()).is_ok());
+        assert!(cat.read().schema().table("scratch").is_some());
+        let drop = Parser::parse_stmt("DROP TABLE scratch").unwrap();
+        assert!(cat.read().guard_ddl(&drop).is_ok());
         cat.execute_guarded(&mut db, "DROP TABLE scratch").unwrap();
-        for i in 0..cat.shard_count() {
-            assert!(cat.read(i).schema().table("scratch").is_none(), "shard {i} schema stale");
-        }
+        assert!(cat.read().schema().table("scratch").is_none(), "schema stale");
     }
 
     #[test]
-    fn relevant_views_merge_across_shards_in_name_order() {
-        let cat = ShardedCatalog::new(bookdemo::book_schema(), 4);
-        for name in ["d", "b", "a", "c"] {
-            cat.add(name, bookdemo::BOOK_VIEW).unwrap();
-        }
-        let u = ufilter_xquery::parse_update(bookdemo::U8).unwrap();
-        assert_eq!(cat.relevant_views(&u), ["a", "b", "c", "d"]);
-        let route = cat.route_update(&u);
-        assert_eq!(route.views, 4);
-        assert_eq!(route.pruned(), 0);
-        assert!(!route.fallback);
-    }
-
-    #[test]
-    fn durable_sharded_catalog_replays_to_identical_state() {
+    fn durable_catalog_replays_to_identical_state() {
         let dir =
-            std::env::temp_dir().join(format!("ufilter-sharded-replay-{}", std::process::id()));
+            std::env::temp_dir().join(format!("ufilter-catalog-replay-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let mut db = bookdemo::book_db();
 
         // Session 1: mutate through every durable path.
-        let mut cat = ShardedCatalog::new(bookdemo::book_schema(), 4);
+        let mut cat = ShardedCatalog::new(bookdemo::book_schema());
         cat.attach_store(Arc::new(Mutex::new(CatalogStore::open(&dir).unwrap())));
         for name in ["a", "b", "c"] {
             cat.add(name, bookdemo::BOOK_VIEW).unwrap();
@@ -488,7 +328,7 @@ mod tests {
         // Session 2: recover from disk alone.
         let mut db2 = bookdemo::book_db();
         let store = CatalogStore::open(&dir).unwrap();
-        let mut cat2 = ShardedCatalog::new(bookdemo::book_schema(), 4);
+        let mut cat2 = ShardedCatalog::new(bookdemo::book_schema());
         let stats = cat2.replay(&mut db2, store.records()).unwrap();
         cat2.attach_store(Arc::new(Mutex::new(store)));
         assert_eq!((stats.adds, stats.drops, stats.ddl), (3, 1, 1));
@@ -505,7 +345,7 @@ mod tests {
 
     #[test]
     fn unknown_view_gets_per_item_report() {
-        let cat = ShardedCatalog::new(bookdemo::book_schema(), 2);
+        let cat = ShardedCatalog::new(bookdemo::book_schema());
         let mut db = bookdemo::book_db();
         let report =
             cat.check_batch_text(&[("ghost".to_string(), bookdemo::U8.to_string())], &mut db);

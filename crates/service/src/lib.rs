@@ -5,11 +5,11 @@
 //! updates. This crate scales that amortization from a single-threaded
 //! library call to a long-running, concurrent **service**:
 //!
-//! * [`catalog::ShardedCatalog`] — an `Arc`-shared, `Sync` view catalog.
-//!   Views hash to shards by name; the read-mostly check path takes one
-//!   shard read lock, catalog mutations take one targeted write lock, and
-//!   only schema-affecting DDL sweeps every shard (under a single
-//!   lock-ordering rule that makes deadlock impossible).
+//! * [`catalog::ShardedCatalog`] — an `Arc`-shared, `Sync` view catalog:
+//!   one [`ufilter_core::ViewCatalog`] behind one `RwLock`. Checks and
+//!   routing take the read lock once per call; catalog mutations and
+//!   guarded DDL take the write lock once. (The name predates the move
+//!   from per-name shards to a single lock.)
 //! * [`pool::CheckPool`] — a worker-pool executor (std threads + channels,
 //!   no external dependencies). Requests are routed by a deterministic
 //!   affinity hash of `(view, update text)`, so repeat-heavy traffic keeps
@@ -21,8 +21,8 @@
 //!   replies carry [`ufilter_core::wire`]-encoded outcomes —
 //!   byte-identical to what the single-threaded `check-batch` /
 //!   `check-all` CLI prints for the same stream. The `CHECKALL` and
-//!   `BATCHALL` verbs take *no view name*: the shards' relevance indexes
-//!   (`ufilter_route`, via [`ShardedCatalog::route_update`]) pick the
+//!   `BATCHALL` verbs take *no view name*: the catalog's relevance index
+//!   (`ufilter_route`, via [`ShardedCatalog::route_update`]) picks the
 //!   candidate views, and only those run the pipeline.
 //!
 //! The service is **check-only**: no wire request ever executes a
@@ -35,7 +35,7 @@
 //! use ufilter_core::bookdemo;
 //! use ufilter_service::{CheckPool, ShardedCatalog};
 //!
-//! let catalog = Arc::new(ShardedCatalog::new(bookdemo::book_schema(), 4));
+//! let catalog = Arc::new(ShardedCatalog::new(bookdemo::book_schema()));
 //! catalog.add("books", bookdemo::BOOK_VIEW).unwrap();
 //! let pool = CheckPool::new(Arc::clone(&catalog), &bookdemo::book_db(), 2);
 //! let reports = pool.check_one("books", bookdemo::U8);

@@ -3,9 +3,9 @@
 //! Two sources feed one exposition:
 //!
 //! * every `STATS` counter/gauge, re-emitted as a typed family via the
-//!   [`STATS_FAMILIES`] table (the drift guard asserts the table's keys
-//!   are exactly the pinned `STATS` reply keys, in order, so the two
-//!   surfaces cannot silently diverge);
+//!   [`STATS_FAMILIES`] table (the server renders its `STATS` reply from
+//!   the same table and the same values, so the two surfaces cannot
+//!   diverge; the drift guard pins the table's key order);
 //! * every [`ufilter_core::obs`] histogram, rendered as a Prometheus
 //!   **summary** (quantile labels `0.5/0.9/0.99/0.999` plus `_sum` and
 //!   `_count`) — the 976-bucket log-linear layout is far too fine to ship
@@ -40,12 +40,11 @@ const fn fam(
     StatsFamily { stats_key, family, kind, help }
 }
 
-/// Every `STATS` key, **in the pinned `STATS` reply order**, with its
-/// Prometheus family. The drift-guard test holds this table and the wire
-/// reply to each other.
+/// Every `STATS` key, **in `STATS` reply order**, with its Prometheus
+/// family. The server renders the `STATS` reply from this table, so the
+/// order here is the wire format; the drift-guard test pins it.
 pub const STATS_FAMILIES: &[StatsFamily] = &[
     fam("workers", "ufilter_workers", "gauge", "Check-pool worker threads."),
-    fam("shards", "ufilter_shards", "gauge", "Catalog shards."),
     fam("views", "ufilter_views", "gauge", "Registered views."),
     fam("connections", "ufilter_connections_total", "counter", "TCP connections accepted."),
     fam("requests", "ufilter_requests_total", "counter", "Requests parsed and handled."),
@@ -243,7 +242,7 @@ pub fn render(stats_values: &[u64], snap: &MetricsSnapshot) -> Vec<String> {
     push_summary(
         &mut out,
         "ufilter_shard_lock_hold_seconds",
-        "Shard-lock acquire plus hold time by kind.",
+        "Catalog-lock acquire plus hold time by kind.",
         &[("kind=\"read\"", &snap.lock_read), ("kind=\"write\"", &snap.lock_write)],
         1e-9,
     );

@@ -199,8 +199,8 @@ impl CheckPool {
         report.items.remove(0).reports
     }
 
-    /// Catalog-wide fan-out for one update: route it through the shards'
-    /// relevance indexes, then dispatch the surviving (candidate view,
+    /// Catalog-wide fan-out for one update: route it through the catalog's
+    /// relevance index, then dispatch the surviving (candidate view,
     /// update) pairs across the workers by the usual affinity hash. Items
     /// come back in candidate-name order with outcomes byte-identical (in
     /// wire form) to a per-view `CHECK` of each candidate.
@@ -227,9 +227,9 @@ impl CheckPool {
     /// yields the same per-item "no view named …" report a direct `CHECK`
     /// of that view would produce at dispatch time (and a concurrently
     /// *added* view may be missed by this request — it was not registered
-    /// when routing ran). Holding every shard lock across the pipeline
-    /// run would serialize the whole service against its slowest check,
-    /// so the catalog deliberately does not offer that.
+    /// when routing ran). Holding the routing guard across the dispatch
+    /// would deadlock behind a queued writer (see the
+    /// [catalog docs](crate::catalog)).
     pub fn check_all_batch(&self, updates: &[String]) -> FanoutReport {
         let span = obs::clock();
         let report = self.fan_out_inner(updates);
@@ -238,38 +238,50 @@ impl CheckPool {
     }
 
     fn fan_out_inner(&self, updates: &[String]) -> FanoutReport {
-        let mut fanout = FanoutStats { views: self.catalog.len(), ..FanoutStats::default() };
+        let parsed: Vec<_> = updates
+            .iter()
+            .map(|text| {
+                let span = obs::clock();
+                let parsed = parse_update(text);
+                obs::stage_elapsed(Stage::Parse, span);
+                parsed
+            })
+            .collect();
         // (update index, candidate view) for every surviving pair. Updates
         // that fail to parse are deliberately fanned out to *all* views:
         // the batch engine reproduces the same per-view malformed report
         // the brute-force loop yields, so outcomes stay byte-identical.
         let mut work: Vec<(usize, String)> = Vec::new();
-        for (ui, text) in updates.iter().enumerate() {
-            let span = obs::clock();
-            let parsed = parse_update(text);
-            obs::stage_elapsed(Stage::Parse, span);
-            match parsed {
-                Ok(u) => {
-                    let span = obs::clock();
-                    let route = self.catalog.route_update(&u);
-                    obs::stage_elapsed(Stage::Route, span);
-                    obs::record_route_candidates(route.candidates.len());
-                    fanout.absorb(&route);
-                    work.extend(route.candidates.into_iter().map(|v| (ui, v)));
-                }
-                Err(_) => {
-                    let all: Vec<String> =
-                        self.catalog.list().into_iter().map(|v| v.name).collect();
-                    fanout.absorb(&Route {
-                        views: all.len(),
-                        candidates: all.clone(),
-                        fallback: true,
-                        ..Route::default()
-                    });
-                    work.extend(all.into_iter().map(|v| (ui, v)));
-                }
+        // One read guard routes the whole request; it is dropped at the end
+        // of this block, before any job is dispatched (workers take their
+        // own read lock, and a queued writer would wedge them behind ours).
+        let fanout = {
+            let catalog = self.catalog.read();
+            let mut fanout = FanoutStats { views: catalog.len(), ..FanoutStats::default() };
+            for (ui, parsed) in parsed.iter().enumerate() {
+                let route = match parsed {
+                    Ok(u) => {
+                        let span = obs::clock();
+                        let route = catalog.route_update(u);
+                        obs::stage_elapsed(Stage::Route, span);
+                        obs::record_route_candidates(route.candidates.len());
+                        route
+                    }
+                    Err(_) => {
+                        let all: Vec<String> = catalog.list().into_iter().map(|v| v.name).collect();
+                        Route {
+                            views: all.len(),
+                            candidates: all,
+                            fallback: true,
+                            ..Route::default()
+                        }
+                    }
+                };
+                fanout.absorb(&route);
+                work.extend(route.candidates.into_iter().map(|v| (ui, v)));
             }
-        }
+            fanout
+        };
         self.stats.record_fanout(&fanout);
         let stream: Vec<(String, String)> =
             work.iter().map(|(ui, view)| (view.clone(), updates[*ui].clone())).collect();
@@ -326,7 +338,7 @@ mod tests {
     use ufilter_core::wire::encode_outcome;
 
     fn book_pool(workers: usize) -> (CheckPool, Arc<ShardedCatalog>) {
-        let catalog = Arc::new(ShardedCatalog::new(bookdemo::book_schema(), 4));
+        let catalog = Arc::new(ShardedCatalog::new(bookdemo::book_schema()));
         catalog.add("books", bookdemo::BOOK_VIEW).unwrap();
         let db = bookdemo::book_db();
         (CheckPool::new(Arc::clone(&catalog), &db, workers), catalog)
@@ -374,7 +386,7 @@ mod tests {
 
     #[test]
     fn check_all_routes_to_candidates_and_matches_per_view_checks() {
-        let catalog = Arc::new(ShardedCatalog::new(bookdemo::book_schema(), 4));
+        let catalog = Arc::new(ShardedCatalog::new(bookdemo::book_schema()));
         catalog.add("z_books", bookdemo::BOOK_VIEW).unwrap();
         catalog.add("a_books", bookdemo::BOOK_VIEW).unwrap();
         let db = bookdemo::book_db();

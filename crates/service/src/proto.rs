@@ -35,7 +35,7 @@
 //!        stale_log=<..> views=<..> ddl=<..> match=<yes|no>
 //!
 //! --> STATS
-//! <-- OK workers=<..> shards=<..> views=<..> requests=<..> checked=<..> ...
+//! <-- OK workers=<..> views=<..> connections=<..> requests=<..> ...  (STATS_FAMILIES order)
 //! --> METRICS
 //! <-- OK <n>               (followed by n raw Prometheus text-format lines)
 //! --> PING

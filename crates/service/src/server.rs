@@ -1,6 +1,6 @@
 //! The long-running TCP check server: `std::net` listener, one thread per
-//! connection, all connections sharing the [`ShardedCatalog`] and the
-//! [`CheckPool`].
+//! connection, all connections sharing the catalog ([`ShardedCatalog`])
+//! and the [`CheckPool`].
 //!
 //! A connection reads request lines ([`crate::proto`]), dispatches check
 //! work to the pool (so affinity routing — not connection identity —
@@ -509,64 +509,15 @@ impl Connection {
                 }
             }
             Request::Stats => {
-                let p = self.pool.stats();
-                // Persistence counters are all zero when the server runs
-                // without --data-dir (the keys are still present — the
-                // reply format does not depend on configuration).
-                let (appends, syncs, compactions, replayed) = match self.catalog.store() {
-                    Some(store) => {
-                        let s = store.lock().expect("catalog store lock").stats();
-                        (s.appends, s.syncs, s.compactions, s.recovered_records)
-                    }
-                    None => (0, 0, 0, 0),
-                };
-                // Key order is a stable part of the reply format; the index
-                // counters (`fanout_requests` onward) always come last, in
-                // this order — the fan-out counters, then the routing-index
-                // gauges (`trie_*`) — and the CI smoke script parses them
-                // by name.
-                let trie = self.catalog.index_stats();
-                let indep = ufilter_core::independence::stats();
-                self.reply(
-                    writer,
-                    &format!(
-                        "OK workers={} shards={} views={} connections={} requests={} errors={} \
-                         jobs={} checked={} probe_hits={} probe_misses={} compile_hits={} \
-                         persist_appends={appends} persist_syncs={syncs} \
-                         persist_compactions={compactions} persist_replayed={replayed} \
-                         fanout_requests={} candidates={} pruned={} fallbacks={} \
-                         trie_nodes={} trie_postings={} trie_bytes={} trie_inserts={} \
-                         trie_removes={} independence_checked={} independence_independent={} \
-                         independence_dependent={} independence_unknown={}",
-                        self.pool.workers(),
-                        self.catalog.shard_count(),
-                        self.catalog.len(),
-                        self.stats.connections.load(Ordering::Relaxed),
-                        self.stats.requests.load(Ordering::Relaxed),
-                        self.stats.errors.load(Ordering::Relaxed),
-                        p.jobs,
-                        p.items,
-                        p.probe_hits,
-                        p.probe_misses,
-                        self.catalog.compile_cache_hits(),
-                        p.fanout_requests,
-                        p.fanout_candidates,
-                        p.fanout_pruned,
-                        p.fanout_fallbacks,
-                        trie.nodes,
-                        trie.postings,
-                        trie.bytes,
-                        trie.inserts,
-                        trie.removes,
-                        indep.checked,
-                        indep.independent,
-                        indep.dependent,
-                        indep.unknown,
-                    ),
-                )
+                let pairs: Vec<String> = STATS_FAMILIES
+                    .iter()
+                    .zip(self.stats_values())
+                    .map(|(f, v)| format!("{}={v}", f.stats_key))
+                    .collect();
+                self.reply(writer, &format!("OK {}", pairs.join(" ")))
             }
             Request::Metrics => {
-                let lines = self.metrics_lines();
+                let lines = metrics::render(&self.stats_values(), &obs::snapshot());
                 writeln!(writer, "OK {}", lines.len()).ok()?;
                 for l in &lines {
                     writeln!(writer, "{l}").ok()?;
@@ -577,36 +528,39 @@ impl Connection {
         }
     }
 
-    /// The Prometheus exposition: every `STATS` value as a typed family
-    /// (same live sources as the `STATS` reply, in [`STATS_FAMILIES`]
-    /// order) plus every histogram as a quantile summary.
-    fn metrics_lines(&self) -> Vec<String> {
+    /// The live `STATS` values in [`STATS_FAMILIES`] order: the one source
+    /// both the `STATS` reply and the `METRICS` exposition render.
+    /// Persistence counters are zero without `--data-dir` (the keys are
+    /// still present — the reply format does not depend on configuration).
+    fn stats_values(&self) -> [u64; STATS_FAMILIES.len()] {
         let p = self.pool.stats();
-        let (appends, syncs, compactions, replayed) = match self.catalog.store() {
-            Some(store) => {
+        let (appends, syncs, compactions, replayed) =
+            self.catalog.store().map_or((0, 0, 0, 0), |store| {
                 let s = store.lock().expect("catalog store lock").stats();
-                (s.appends, s.syncs, s.compactions, s.recovered_records)
-            }
-            None => (0, 0, 0, 0),
+                (s.appends, s.syncs, s.compactions, s.recovered_records as u64)
+            });
+        // One read guard, so views, compile hits and trie gauges agree.
+        let (views, compile_hits, trie) = {
+            let catalog = self.catalog.read();
+            (catalog.len(), catalog.compile_cache_hits(), catalog.index_stats())
         };
-        let trie = self.catalog.index_stats();
         let indep = ufilter_core::independence::stats();
-        let values: [u64; STATS_FAMILIES.len()] = [
+        let load = |counter: &AtomicUsize| counter.load(Ordering::Relaxed) as u64;
+        [
             self.pool.workers() as u64,
-            self.catalog.shard_count() as u64,
-            self.catalog.len() as u64,
-            self.stats.connections.load(Ordering::Relaxed) as u64,
-            self.stats.requests.load(Ordering::Relaxed) as u64,
-            self.stats.errors.load(Ordering::Relaxed) as u64,
+            views as u64,
+            load(&self.stats.connections),
+            load(&self.stats.requests),
+            load(&self.stats.errors),
             p.jobs as u64,
             p.items as u64,
             p.probe_hits as u64,
             p.probe_misses as u64,
-            self.catalog.compile_cache_hits() as u64,
+            compile_hits as u64,
             appends,
             syncs,
             compactions,
-            replayed as u64,
+            replayed,
             p.fanout_requests as u64,
             p.fanout_candidates as u64,
             p.fanout_pruned as u64,
@@ -620,8 +574,7 @@ impl Connection {
             indep.independent,
             indep.dependent,
             indep.unknown,
-        ];
-        metrics::render(&values, &obs::snapshot())
+        ]
     }
 }
 
@@ -671,7 +624,7 @@ mod tests {
     }
 
     fn spawn_book_server(workers: usize) -> (SocketAddr, std::thread::JoinHandle<()>) {
-        let catalog = Arc::new(ShardedCatalog::new(bookdemo::book_schema(), 4));
+        let catalog = Arc::new(ShardedCatalog::new(bookdemo::book_schema()));
         catalog.add("books", bookdemo::BOOK_VIEW).unwrap();
         let db = bookdemo::book_db();
         let server = CheckServer::bind("127.0.0.1:0", catalog, &db, workers).expect("binds");
@@ -928,7 +881,7 @@ mod tests {
         let spawn_durable = |dir: &std::path::Path| {
             let mut db = bookdemo::book_db();
             let store = CatalogStore::open(dir).unwrap();
-            let mut catalog = ShardedCatalog::new(bookdemo::book_schema(), 4);
+            let mut catalog = ShardedCatalog::new(bookdemo::book_schema());
             catalog.replay(&mut db, store.records()).unwrap();
             catalog.attach_store(Arc::new(Mutex::new(store)));
             let server =
@@ -992,7 +945,7 @@ mod tests {
 
     #[test]
     fn shutdown_handle_stops_the_server() {
-        let catalog = Arc::new(ShardedCatalog::new(bookdemo::book_schema(), 2));
+        let catalog = Arc::new(ShardedCatalog::new(bookdemo::book_schema()));
         let db = bookdemo::book_db();
         let server = CheckServer::bind("127.0.0.1:0", catalog, &db, 1).unwrap();
         let shutdown = server.shutdown_handle();

@@ -1,24 +1,34 @@
 //! Concurrency stress: N threads hammer one [`ShardedCatalog`] with a mix
-//! of single checks, batch checks, catalog add/drop churn and guarded DDL,
-//! then every thread's per-operation outcomes are compared against a
-//! single-threaded replay of the same schedule.
+//! of single checks, batch checks, catalog add/drop churn and guarded DDL
+//! while a [`CheckPool`] reader fans `CHECKALL`s and `BATCH`es over two
+//! workers beside them; then every thread's per-operation outcomes are
+//! compared against a single-threaded replay of the same schedule.
 //!
 //! The schedules are designed so each operation's observable outcome is
 //! independent of cross-thread interleaving (threads own disjoint view
-//! names and scratch relations, and the only shared-relation DDL is one
-//! that is *always* rejected), which is exactly the determinism the
-//! service's locking must preserve: concurrency may change who waits, but
-//! never what anything returns.
+//! names and scratch relations, the only shared-relation DDL is one that
+//! is *always* rejected, and the reader only compares outcomes on views no
+//! writer touches), which is exactly the determinism the service's locking
+//! must preserve: concurrency may change who waits, but never what
+//! anything returns. A watchdog fails the test if any thread hangs.
 
+use std::sync::mpsc::channel;
 use std::sync::Arc;
+use std::time::Duration;
 
 use ufilter_core::bookdemo;
 use ufilter_core::wire::encode_outcome;
 use ufilter_rdb::Db;
-use ufilter_service::ShardedCatalog;
+use ufilter_service::{CheckPool, ShardedCatalog};
 
 const THREADS: usize = 4;
 const ITERS: usize = 10;
+/// Read passes the pool reader makes while the writers run.
+const READS: usize = 20;
+/// Views registered before the writers start and never touched by them.
+const STABLE: [&str; 2] = ["fixed_a", "fixed_b"];
+/// How long the watchdog waits for any one thread's result.
+const WATCHDOG: Duration = Duration::from_secs(60);
 
 /// Run one thread's deterministic schedule, returning a flat log of
 /// observable outcomes (one string per observation).
@@ -75,38 +85,81 @@ fn run_schedule(t: usize, catalog: &ShardedCatalog, db: &mut Db) -> Vec<String> 
     log
 }
 
-#[test]
-fn concurrent_schedules_match_single_threaded_replay() {
-    // Concurrent run: THREADS threads over one sharded catalog, each with
-    // its own database clone (the service's worker model).
-    let catalog = Arc::new(ShardedCatalog::new(bookdemo::book_schema(), 4));
-    let base = bookdemo::book_db();
-    let concurrent: Vec<Vec<String>> = {
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let catalog = Arc::clone(&catalog);
-                let mut db = base.clone();
-                std::thread::spawn(move || run_schedule(t, &catalog, &mut db))
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().expect("no thread panicked")).collect()
-    };
-    assert!(catalog.is_empty(), "every thread cleaned up its views");
-
-    // Single-threaded replay of the identical schedules, thread-major.
-    let replay_catalog = ShardedCatalog::new(bookdemo::book_schema(), 4);
-    let replayed: Vec<Vec<String>> = (0..THREADS)
-        .map(|t| {
-            let mut db = base.clone();
-            run_schedule(t, &replay_catalog, &mut db)
+/// One pass of pool reads: `CHECKALL`s and a `BATCH`, keeping only the
+/// outcomes on the stable views (the writers' views come and go).
+fn pool_reads(pool: &CheckPool) -> Vec<String> {
+    let mut log = Vec::new();
+    for u in [bookdemo::U8, bookdemo::U10] {
+        for item in pool.check_all(u).items.iter().filter(|i| STABLE.contains(&i.view.as_str())) {
+            for r in &item.reports {
+                log.push(format!("all {} {}", item.view, encode_outcome(&r.outcome)));
+            }
+        }
+    }
+    let stream: Vec<(String, String)> = STABLE
+        .iter()
+        .flat_map(|v| {
+            [bookdemo::U8, bookdemo::U10, bookdemo::U13].map(|u| (v.to_string(), u.into()))
         })
         .collect();
+    for item in pool.check_stream(&stream).items {
+        for r in &item.reports {
+            log.push(format!("batch {} {} {}", item.index, item.view, encode_outcome(&r.outcome)));
+        }
+    }
+    log
+}
 
+fn catalog_with_stable_views() -> Arc<ShardedCatalog> {
+    let catalog = Arc::new(ShardedCatalog::new(bookdemo::book_schema()));
+    for name in STABLE {
+        catalog.add(name, bookdemo::BOOK_VIEW).expect("stable view compiles");
+    }
+    catalog
+}
+
+#[test]
+fn concurrent_schedules_match_single_threaded_replay() {
+    // Concurrent run: THREADS writer threads over one catalog, each with
+    // its own database clone (the service's worker model), plus one pool
+    // reader. Every thread reports through the channel; the watchdog turns
+    // a deadlock into a failure instead of a hung test.
+    let catalog = catalog_with_stable_views();
+    let base = bookdemo::book_db();
+    let pool = CheckPool::new(Arc::clone(&catalog), &base, 2);
+    let (tx, rx) = channel::<(usize, Vec<Vec<String>>)>();
     for t in 0..THREADS {
+        let (catalog, tx, mut db) = (Arc::clone(&catalog), tx.clone(), base.clone());
+        std::thread::spawn(move || {
+            let _ = tx.send((t, vec![run_schedule(t, &catalog, &mut db)]));
+        });
+    }
+    std::thread::spawn(move || {
+        let _ = tx.send((THREADS, (0..READS).map(|_| pool_reads(&pool)).collect()));
+    });
+    let mut results: Vec<Vec<Vec<String>>> = vec![Vec::new(); THREADS + 1];
+    for _ in 0..=THREADS {
+        let (id, out) = rx
+            .recv_timeout(WATCHDOG)
+            .unwrap_or_else(|_| panic!("no thread result within {WATCHDOG:?}: hung or panicked"));
+        results[id] = out;
+    }
+    assert_eq!(catalog.len(), STABLE.len(), "every writer cleaned up its views");
+
+    // Single-threaded replay of the identical schedules, thread-major,
+    // then the reader's pass.
+    let replay_catalog = catalog_with_stable_views();
+    for (t, concurrent) in results.iter().take(THREADS).enumerate() {
+        let replayed = run_schedule(t, &replay_catalog, &mut base.clone());
         assert_eq!(
-            concurrent[t], replayed[t],
+            concurrent[0], replayed,
             "thread {t}: concurrent outcomes diverge from serial replay"
         );
+    }
+    let expected = pool_reads(&CheckPool::new(replay_catalog, &base, 2));
+    assert!(!expected.is_empty());
+    for (pass, got) in results[THREADS].iter().enumerate() {
+        assert_eq!(got, &expected, "pool read pass {pass} diverges from serial replay");
     }
 }
 
@@ -114,7 +167,7 @@ fn concurrent_schedules_match_single_threaded_replay() {
 fn concurrent_checks_against_fixed_catalog_are_stable() {
     // Read-mostly path: no catalog churn at all, many threads checking the
     // same views; all must see identical wire outcomes.
-    let catalog = Arc::new(ShardedCatalog::new(bookdemo::book_schema(), 2));
+    let catalog = Arc::new(ShardedCatalog::new(bookdemo::book_schema()));
     catalog.add("books", bookdemo::BOOK_VIEW).unwrap();
     let base = bookdemo::book_db();
     let expected: Vec<String> = {

@@ -203,7 +203,7 @@ COMMANDS:
     check-all <update.xq>          fan one update out to every catalog view it
                                    could affect (relevance-index routed); prints
                                    one wire outcome per candidate view
-    serve                run the concurrent check server (sharded catalog +
+    serve                run the concurrent check server (one shared catalog +
                          worker pool); prints 'LISTENING <addr>' once bound.
                          With --data-dir, catalog mutations are durable: the
                          server logs them before acknowledging, recovers them
@@ -828,10 +828,7 @@ fn run() -> Result<bool, String> {
             let mut db = load_db(&args)?;
             let workers = args.workers.unwrap_or(4);
             let config = UFilterConfig { mode: args.mode, strategy: args.strategy };
-            // Shard count is a concurrency knob, not a correctness one:
-            // 2x workers keeps shard write locks (catalog DDL/add/drop)
-            // from serializing the read path.
-            let mut catalog = ShardedCatalog::with_config(db.schema().clone(), config, workers * 2);
+            let mut catalog = ShardedCatalog::with_config(db.schema().clone(), config, 1);
             // Recover the durable catalog first (replay, then attach so the
             // replayed records are not re-appended), then seed from the
             // manifest — skipping names recovery already registered, so a

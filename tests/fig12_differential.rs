@@ -175,7 +175,7 @@ fn served_batch_is_byte_identical_to_check_batch() {
     }
 
     // Served side: a real CheckServer, 2 workers, same views and data.
-    let sharded = Arc::new(ShardedCatalog::new(db.schema().clone(), 4));
+    let sharded = Arc::new(ShardedCatalog::new(db.schema().clone()));
     for (name, text) in subset_views() {
         sharded.add(name, text).unwrap();
     }

@@ -1,11 +1,10 @@
 //! Drift guard between the two observability surfaces.
 //!
 //! `STATS` is the byte-pinned wire reply; `METRICS` is the Prometheus
-//! exposition. Both are fed from the same counters through the
-//! [`STATS_FAMILIES`] table, and this test holds all three to each other:
-//! the pinned key list below, the table's `stats_key` order, and the keys
-//! a live server actually emits. Adding a counter to one surface without
-//! the others fails here, not in a dashboard three weeks later.
+//! exposition. The server renders both from the [`STATS_FAMILIES`] table
+//! and one set of live values, so they cannot drift apart; this test pins
+//! the table's key order (the `STATS` wire format) and checks a live
+//! server against it.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -15,11 +14,10 @@ use u_filter::core::bookdemo;
 use u_filter::service::{CheckServer, ShardedCatalog, STATS_FAMILIES};
 
 /// The `STATS` reply keys, in reply order, pinned. Changing this list is a
-/// wire-protocol change: update `STATS_FAMILIES`, the server's `STATS`
-/// arm, and `scripts/ci_service_smoke.sh` together.
-const PINNED_STATS_KEYS: [&str; 28] = [
+/// wire-protocol change: update `STATS_FAMILIES` and
+/// `scripts/ci_service_smoke.sh` together.
+const PINNED_STATS_KEYS: [&str; 27] = [
     "workers",
-    "shards",
     "views",
     "connections",
     "requests",
@@ -103,7 +101,7 @@ impl Client {
 
 #[test]
 fn live_stats_reply_and_metrics_exposition_carry_the_same_keys() {
-    let catalog = Arc::new(ShardedCatalog::new(bookdemo::book_schema(), 4));
+    let catalog = Arc::new(ShardedCatalog::new(bookdemo::book_schema()));
     catalog.add("books", bookdemo::BOOK_VIEW).expect("add view");
     let db = bookdemo::book_db();
     let server = CheckServer::bind("127.0.0.1:0", catalog, &db, 2).expect("bind");
@@ -118,33 +116,18 @@ fn live_stats_reply_and_metrics_exposition_carry_the_same_keys() {
         "check failed"
     );
 
-    // Direction 1: the live STATS reply keys are exactly the pinned list.
+    // The live STATS reply keys are exactly the pinned list.
     let stats = c.roundtrip("STATS");
     let body = stats.strip_prefix("OK ").expect("STATS replies OK");
     let reply_keys: Vec<&str> =
         body.split_whitespace().map(|kv| kv.split_once('=').expect("key=value").0).collect();
     assert_eq!(reply_keys, PINNED_STATS_KEYS, "live STATS reply drifted: {stats}");
 
-    // Direction 2: every STATS key's family appears in the live METRICS
-    // exposition as a typed, valued series.
+    // The live METRICS exposition carries the same live values (every
+    // family's presence is pinned by the renderer's own unit tests).
     let head = c.roundtrip("METRICS");
     let n: usize = head.strip_prefix("OK ").expect("METRICS replies OK <n>").parse().expect("n");
     let lines: Vec<String> = (0..n).map(|_| c.recv()).collect();
-    for f in STATS_FAMILIES {
-        assert!(
-            lines.iter().any(|l| *l == format!("# TYPE {} {}", f.family, f.kind)),
-            "METRICS lacks a TYPE line for {}",
-            f.family
-        );
-        assert!(
-            lines.iter().any(|l| l.starts_with(&format!("{} ", f.family))),
-            "METRICS lacks a value line for {}",
-            f.family
-        );
-    }
-    // The STATS-derived values agree between the two surfaces (scraped in
-    // the same session with no concurrent traffic, so requests differ only
-    // by the STATS request itself; views/workers are exact).
     let metric_value = |family: &str| -> f64 {
         lines
             .iter()
