@@ -423,6 +423,7 @@ impl TcpHarness {
         let handle = server.shutdown_handle();
         let thread = std::thread::spawn(move || server.run());
         let stream = TcpStream::connect(addr).map_err(|e| gen_err(format!("connect: {e}")))?;
+        stream.set_nodelay(true).map_err(|e| gen_err(format!("nodelay: {e}")))?;
         let reader =
             BufReader::new(stream.try_clone().map_err(|e| gen_err(format!("clone: {e}")))?);
         Ok(TcpHarness { reader, writer: stream, handle, thread })
@@ -431,7 +432,9 @@ impl TcpHarness {
     /// Send one CHECK, return the wire line after `OK ` (or an error
     /// description).
     fn check(&mut self, view: &str, update: &str) -> Result<String, String> {
-        writeln!(self.writer, "{}", check_request(view, update)).map_err(|e| e.to_string())?;
+        // One request, one write: a split request waits on a delayed ACK.
+        let request = format!("{}\n", check_request(view, update));
+        self.writer.write_all(request.as_bytes()).map_err(|e| e.to_string())?;
         let mut reply = String::new();
         self.reader.read_line(&mut reply).map_err(|e| e.to_string())?;
         let reply = reply.trim_end();

@@ -22,7 +22,9 @@ const SEED: u64 = 0x817E_F8A3;
 fn roundtrip(addr: SocketAddr, request: &str) -> String {
     let mut stream = TcpStream::connect(addr).expect("server accepts");
     stream.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    writeln!(stream, "{request}").expect("request written");
+    stream.set_nodelay(true).unwrap();
+    // One write: a request split across writes waits on a delayed ACK.
+    stream.write_all(format!("{request}\n").as_bytes()).expect("request written");
     let mut reader = BufReader::new(stream);
     let mut reply = String::new();
     reader.read_line(&mut reply).expect("server replies");

@@ -4,16 +4,25 @@
 //!
 //! A connection reads request lines ([`crate::proto`]), dispatches check
 //! work to the pool (so affinity routing — not connection identity —
-//! decides which worker and which warm cache serves an update), and writes
-//! the structured `OK`/`ERR` replies. `SHUTDOWN` flips a shared flag and
-//! wakes the accept loop with a loopback connection; the server then stops
-//! accepting, joins every connection thread, and drops the pool (joining
-//! the workers).
+//! decides which worker and which warm cache serves an update), renders the
+//! whole structured `OK`/`ERR` reply into one buffer and sends it with one
+//! write on a `TCP_NODELAY` socket. A reply split across writes would have
+//! its tail held by Nagle's algorithm until the client's delayed ACK, about
+//! 40 ms later (the framing rule of the wire-protocol ADR in
+//! `docs/ARCHITECTURE.md`).
+//!
+//! Reads block with no timeout. `SHUTDOWN` flips a shared flag and wakes
+//! the accept loop with a loopback connection; the server then stops
+//! accepting, shuts down the read side of every live connection (a blocked
+//! read returns end of file at once), joins every connection thread, and
+//! drops the pool (joining the workers).
 
-use std::io::{BufRead, BufReader, BufWriter, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::fmt::Write as _;
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use ufilter_core::obs::{self, Verb};
@@ -26,10 +35,11 @@ use crate::metrics::{self, STATS_FAMILIES};
 use crate::pool::CheckPool;
 use crate::proto::{err_reply, parse_batch_item, parse_batchall_item, parse_request, Request};
 
-/// Longest request line the server will buffer before giving up on the
-/// connection. Escaped view/update texts are a few KB; this leaves three
-/// orders of magnitude of headroom while bounding what one client can make
-/// the server allocate.
+/// Longest request line, newline included, the server will buffer before
+/// giving up on the connection. Escaped view/update texts are a few KB;
+/// this leaves three orders of magnitude of headroom while bounding what
+/// one client can make the server allocate: a line that never ends is not
+/// this protocol.
 const MAX_LINE_BYTES: usize = 8 * 1024 * 1024;
 
 /// Counters the `STATS` command reports (monotonic, server lifetime).
@@ -93,16 +103,20 @@ impl CheckServer {
         ShutdownHandle { flag: Arc::clone(&self.shutdown), addr: self.addr }
     }
 
-    /// Accept connections until `SHUTDOWN`, then drain: joins every
-    /// connection thread and the worker pool before returning.
+    /// Accept connections until `SHUTDOWN`, then drain: wakes and joins
+    /// every connection thread and the worker pool before returning.
     pub fn run(self) -> std::io::Result<()> {
-        let mut conns = Vec::new();
+        // Each connection's thread beside a weak handle on its socket, so
+        // the socket still closes as soon as the thread is done with it.
+        let mut conns: Vec<(Weak<TcpStream>, JoinHandle<()>)> = Vec::new();
         for stream in self.listener.incoming() {
             if self.shutdown.load(Ordering::SeqCst) {
                 break;
             }
-            let stream = stream?;
+            let stream = Arc::new(stream?);
             self.stats.connections.fetch_add(1, Ordering::Relaxed);
+            // Reap finished connections: the list is bounded by live ones.
+            conns.retain(|(_, thread)| !thread.is_finished());
             let conn = Connection {
                 catalog: Arc::clone(&self.catalog),
                 pool: Arc::clone(&self.pool),
@@ -111,10 +125,19 @@ impl CheckServer {
                 addr: self.addr,
                 slow_ms: self.slow_ms,
             };
-            conns.push(std::thread::spawn(move || conn.serve(stream)));
+            let socket = Arc::downgrade(&stream);
+            conns.push((socket, std::thread::spawn(move || conn.serve(&stream))));
         }
-        for handle in conns {
-            let _ = handle.join();
+        // A read blocked on an idle connection returns end of file once
+        // the read side is shut down, so no connection outlives this loop
+        // by more than the request it is serving.
+        for (socket, _) in &conns {
+            if let Some(socket) = socket.upgrade() {
+                let _ = socket.shutdown(Shutdown::Read);
+            }
+        }
+        for (_, thread) in conns {
+            let _ = thread.join();
         }
         // Clean shutdown: fold the log into a fresh snapshot so the next
         // start replays one compact file instead of the whole append
@@ -152,35 +175,35 @@ struct Connection {
 }
 
 impl Connection {
-    fn serve(self, stream: TcpStream) {
-        // Short read timeouts keep idle connections responsive to shutdown
-        // without a dedicated poll thread.
-        let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
-        let Ok(reader_stream) = stream.try_clone() else { return };
-        let mut reader = BufReader::new(reader_stream);
-        let mut writer = BufWriter::new(stream);
-        let mut line = String::new();
-        loop {
-            line.clear();
-            let Some(n) = self.read_line(&mut reader, &mut line) else { return };
-            if n == 0 {
-                return; // client closed the connection
+    fn serve(self, stream: &TcpStream) {
+        // Every reply is one write, so Nagle's coalescing has nothing to
+        // gain and must not hold a reply for the client's delayed ACK.
+        let _ = stream.set_nodelay(true);
+        let mut reader = BufReader::new(stream);
+        let mut writer = stream;
+        while let Some(line) = read_line(&mut reader) {
+            // After shutdown, a client that keeps sending is closed, not
+            // served (a shut-down read side still delivers queued data).
+            if self.shutdown.load(Ordering::SeqCst) {
+                return;
             }
             if line.trim().is_empty() {
                 continue;
             }
             self.stats.requests.fetch_add(1, Ordering::Relaxed);
-            let stop = match parse_request(&line) {
-                Ok(req) => self.handle(req, &mut reader, &mut writer, &line),
-                Err(detail) => {
-                    self.stats.errors.fetch_add(1, Ordering::Relaxed);
-                    self.reply(&mut writer, &err_reply(&detail))
+            let (reply, stop) = match parse_request(&line) {
+                Ok(req) => {
+                    let stop = matches!(req, Request::Shutdown);
+                    let Some(reply) = self.handle(req, &mut reader, &line) else { return };
+                    (reply, stop)
                 }
+                Err(detail) => (self.error(&detail), false),
             };
-            if stop.is_none() {
+            // The one socket write: the whole reply at once.
+            if writer.write_all(reply.as_bytes()).is_err() {
                 return;
             }
-            if stop == Some(true) {
+            if stop {
                 self.shutdown.store(true, Ordering::SeqCst);
                 let _ = TcpStream::connect(self.addr); // wake the accept loop
                 return;
@@ -188,74 +211,12 @@ impl Connection {
         }
     }
 
-    /// Read one line, retrying through read timeouts (checking the shutdown
-    /// flag between attempts). `None` means the connection should close.
-    ///
-    /// Accumulates raw bytes and converts to UTF-8 only at a complete line
-    /// boundary — `BufRead::read_line` would fail if a read timeout split a
-    /// multi-byte character mid-sequence (escaped payloads pass non-ASCII
-    /// through raw).
-    fn read_line(&self, reader: &mut BufReader<TcpStream>, line: &mut String) -> Option<usize> {
-        let mut bytes: Vec<u8> = Vec::new();
-        loop {
-            // A line that never ends is not this protocol: close rather than
-            // buffer without bound (a client streaming newline-free data
-            // would otherwise grow this allocation until OOM).
-            if bytes.len() > MAX_LINE_BYTES {
-                return None;
-            }
-            let (used, done) = match reader.fill_buf() {
-                Ok([]) => (0, true), // EOF; deliver what we have (may be 0)
-                Ok(buf) => match buf.iter().position(|b| *b == b'\n') {
-                    Some(pos) => {
-                        bytes.extend_from_slice(&buf[..=pos]);
-                        (pos + 1, true)
-                    }
-                    None => {
-                        bytes.extend_from_slice(buf);
-                        (buf.len(), false)
-                    }
-                },
-                Err(e)
-                    if e.kind() == std::io::ErrorKind::WouldBlock
-                        || e.kind() == std::io::ErrorKind::TimedOut =>
-                {
-                    if self.shutdown.load(Ordering::SeqCst) {
-                        return None;
-                    }
-                    continue;
-                }
-                Err(_) => return None,
-            };
-            reader.consume(used);
-            if done {
-                break;
-            }
-        }
-        // A non-UTF-8 request is not speaking this protocol: close.
-        let text = String::from_utf8(bytes).ok()?;
-        line.push_str(&text);
-        Some(text.len())
-    }
-
-    /// Write one reply line. `Some(false)` keeps the connection open.
-    fn reply(&self, writer: &mut BufWriter<TcpStream>, text: &str) -> Option<bool> {
-        writeln!(writer, "{text}").ok()?;
-        writer.flush().ok()?;
-        Some(false)
-    }
-
     /// Handle one parsed request, wrapped with observability: per-verb
     /// latency recording (pool-backed verbs record themselves inside the
     /// pool, so both TCP and in-process callers hit the same histograms)
-    /// and the `--slow-ms` structured slow-request log.
-    fn handle(
-        &self,
-        req: Request,
-        reader: &mut BufReader<TcpStream>,
-        writer: &mut BufWriter<TcpStream>,
-        line: &str,
-    ) -> Option<bool> {
+    /// and the `--slow-ms` structured slow-request log. Both cover reading
+    /// the request and rendering the reply, not writing it.
+    fn handle(&self, req: Request, reader: &mut impl BufRead, line: &str) -> Option<String> {
         let recorded = match &req {
             Request::CatalogAdd { .. } => Some(Verb::CatalogAdd),
             Request::CatalogDrop { .. } => Some(Verb::CatalogDrop),
@@ -273,7 +234,7 @@ impl Connection {
         // its own clock rather than obs::clock().
         let slow_from = self.slow_ms.map(|_| Instant::now());
         let span = if recorded.is_some() { obs::clock() } else { None };
-        let out = self.handle_inner(req, reader, writer);
+        let out = self.handle_inner(req, reader);
         if let Some(verb) = recorded {
             obs::verb_elapsed(verb, span);
         }
@@ -292,16 +253,14 @@ impl Connection {
         out
     }
 
-    /// Handle one parsed request. `None` = close connection, `Some(true)` =
-    /// server shutdown requested, `Some(false)` = keep serving.
-    fn handle_inner(
-        &self,
-        req: Request,
-        reader: &mut BufReader<TcpStream>,
-        writer: &mut BufWriter<TcpStream>,
-    ) -> Option<bool> {
-        match req {
-            Request::Ping => self.reply(writer, "OK pong"),
+    /// Handle one parsed request and render its whole reply, each line
+    /// `\n`-terminated. `None` closes the connection (the client hung up
+    /// mid-batch).
+    fn handle_inner(&self, req: Request, reader: &mut impl BufRead) -> Option<String> {
+        // Writing into a `String` cannot fail, so `writeln!` results are
+        // discarded below.
+        let reply = match req {
+            Request::Ping => "OK pong\n".to_string(),
             Request::Shutdown => {
                 // Flush the log before acknowledging: once the client has
                 // read "OK bye", every mutation it was acknowledged for is
@@ -311,172 +270,92 @@ impl Connection {
                 if let Some(store) = self.catalog.store() {
                     let _ = store.lock().expect("catalog store lock").sync();
                 }
-                self.reply(writer, "OK bye")?;
-                Some(true)
+                "OK bye\n".to_string()
             }
             Request::Check { view, update } => {
-                let reports = self.pool.check_one(&view, &update);
-                self.reply(writer, &format!("OK {}", report_line(&reports)))
+                format!("OK {}\n", report_line(&self.pool.check_one(&view, &update)))
             }
-            Request::Batch { count } => {
-                let mut items: Vec<(String, String)> = Vec::with_capacity(count);
-                let mut bad: Option<String> = None;
-                // Always consume exactly `count` item lines, even after a
-                // malformed one — replying ERR early would leave the rest of
-                // the batch in the stream to be misread as top-level
-                // requests, desyncing every later request/reply pair.
-                for _ in 0..count {
-                    let mut line = String::new();
-                    let n = self.read_line(reader, &mut line)?;
-                    if n == 0 {
-                        return None; // client hung up mid-batch
+            Request::Batch { count } => match read_items(reader, count, parse_batch_item)? {
+                Err(detail) => self.error(&detail),
+                Ok(items) => {
+                    let report = self.pool.check_stream(&items);
+                    let mut out = format!("OK {}\n", items.len());
+                    for item in &report.items {
+                        for r in &item.reports {
+                            let outcome = encode_outcome(&r.outcome);
+                            let _ = writeln!(out, "ITEM {} {} {outcome}", item.index, item.view);
+                        }
                     }
-                    if bad.is_some() {
-                        continue; // draining
-                    }
-                    match parse_batch_item(&line) {
-                        Ok(item) => items.push(item),
-                        Err(detail) => bad = Some(detail),
-                    }
-                }
-                if let Some(detail) = bad {
-                    self.stats.errors.fetch_add(1, Ordering::Relaxed);
-                    return self.reply(writer, &err_reply(&detail));
-                }
-                let report = self.pool.check_stream(&items);
-                writeln!(writer, "OK {}", items.len()).ok()?;
-                for item in &report.items {
-                    for r in &item.reports {
-                        writeln!(
-                            writer,
-                            "ITEM {} {} {}",
-                            item.index,
-                            item.view,
-                            encode_outcome(&r.outcome)
-                        )
-                        .ok()?;
-                    }
-                }
-                let s = report.stats;
-                writeln!(
-                    writer,
-                    "END items={} parse_hits={} probe_hits={} probe_misses={} groups={}",
-                    s.items, s.parse_hits, s.probe_hits, s.probe_misses, s.target_groups
-                )
-                .ok()?;
-                writer.flush().ok()?;
-                Some(false)
-            }
-            Request::CheckAll { update } => {
-                let report = self.pool.check_all(&update);
-                writeln!(writer, "OK {}", report.items.len()).ok()?;
-                for item in &report.items {
-                    for r in &item.reports {
-                        writeln!(writer, "ITEM {} {}", item.view, encode_outcome(&r.outcome))
-                            .ok()?;
-                    }
-                }
-                let f = report.fanout;
-                writeln!(
-                    writer,
-                    "END views={} candidates={} pruned={} fallbacks={}",
-                    f.views, f.candidates, f.pruned, f.fallbacks
-                )
-                .ok()?;
-                writer.flush().ok()?;
-                Some(false)
-            }
-            Request::BatchAll { count } => {
-                let mut updates: Vec<String> = Vec::with_capacity(count);
-                let mut bad: Option<String> = None;
-                // Same drain discipline as BATCH: consume exactly `count`
-                // item lines even after a malformed one, so the connection
-                // never desyncs.
-                for _ in 0..count {
-                    let mut line = String::new();
-                    let n = self.read_line(reader, &mut line)?;
-                    if n == 0 {
-                        return None; // client hung up mid-batch
-                    }
-                    if bad.is_some() {
-                        continue; // draining
-                    }
-                    match parse_batchall_item(&line) {
-                        Ok(update) => updates.push(update),
-                        Err(detail) => bad = Some(detail),
-                    }
-                }
-                if let Some(detail) = bad {
-                    self.stats.errors.fetch_add(1, Ordering::Relaxed);
-                    return self.reply(writer, &err_reply(&detail));
-                }
-                let report = self.pool.check_all_batch(&updates);
-                writeln!(writer, "OK {}", updates.len()).ok()?;
-                for item in &report.items {
-                    for r in &item.reports {
-                        writeln!(
-                            writer,
-                            "ITEM {} {} {}",
-                            item.update,
-                            item.view,
-                            encode_outcome(&r.outcome)
-                        )
-                        .ok()?;
-                    }
-                }
-                let f = report.fanout;
-                writeln!(
-                    writer,
-                    "END items={} fanout_requests={} candidates={} pruned={} fallbacks={}",
-                    updates.len(),
-                    f.fanout_requests,
-                    f.candidates,
-                    f.pruned,
-                    f.fallbacks
-                )
-                .ok()?;
-                writer.flush().ok()?;
-                Some(false)
-            }
-            Request::CatalogAdd { name, view_text } => match self.catalog.add(&name, &view_text) {
-                Ok(info) => self.reply(
-                    writer,
-                    &format!("OK added {} reads={}", info.name, info.relations.join(",")),
-                ),
-                Err(e) => {
-                    self.stats.errors.fetch_add(1, Ordering::Relaxed);
-                    self.reply(writer, &err_reply(&e.to_string()))
+                    let s = report.stats;
+                    let _ = writeln!(
+                        out,
+                        "END items={} parse_hits={} probe_hits={} probe_misses={} groups={}",
+                        s.items, s.parse_hits, s.probe_hits, s.probe_misses, s.target_groups
+                    );
+                    out
                 }
             },
-            Request::CatalogDrop { name } => match self.catalog.drop_view(&name) {
-                Ok(()) => self.reply(writer, &format!("OK dropped {name}")),
-                Err(e) => {
-                    self.stats.errors.fetch_add(1, Ordering::Relaxed);
-                    self.reply(writer, &err_reply(&e.to_string()))
+            Request::CheckAll { update } => {
+                let report = self.pool.check_all(&update);
+                let mut out = format!("OK {}\n", report.items.len());
+                for item in &report.items {
+                    for r in &item.reports {
+                        let _ = writeln!(out, "ITEM {} {}", item.view, encode_outcome(&r.outcome));
+                    }
                 }
+                let f = report.fanout;
+                let _ = writeln!(
+                    out,
+                    "END views={} candidates={} pruned={} fallbacks={}",
+                    f.views, f.candidates, f.pruned, f.fallbacks
+                );
+                out
+            }
+            Request::BatchAll { count } => match read_items(reader, count, parse_batchall_item)? {
+                Err(detail) => self.error(&detail),
+                Ok(updates) => {
+                    let report = self.pool.check_all_batch(&updates);
+                    let mut out = format!("OK {}\n", updates.len());
+                    for item in &report.items {
+                        for r in &item.reports {
+                            let outcome = encode_outcome(&r.outcome);
+                            let _ = writeln!(out, "ITEM {} {} {outcome}", item.update, item.view);
+                        }
+                    }
+                    let f = report.fanout;
+                    let _ = writeln!(
+                        out,
+                        "END items={} fanout_requests={} candidates={} pruned={} fallbacks={}",
+                        updates.len(),
+                        f.fanout_requests,
+                        f.candidates,
+                        f.pruned,
+                        f.fallbacks
+                    );
+                    out
+                }
+            },
+            Request::CatalogAdd { name, view_text } => match self.catalog.add(&name, &view_text) {
+                Ok(info) => format!("OK added {} reads={}\n", info.name, info.relations.join(",")),
+                Err(e) => self.error(&e.to_string()),
+            },
+            Request::CatalogDrop { name } => match self.catalog.drop_view(&name) {
+                Ok(()) => format!("OK dropped {name}\n"),
+                Err(e) => self.error(&e.to_string()),
             },
             Request::CatalogList => {
                 let views = self.catalog.list();
-                writeln!(writer, "OK {}", views.len()).ok()?;
+                let mut out = format!("OK {}\n", views.len());
                 for v in views {
-                    writeln!(
-                        writer,
-                        "VIEW {} reads={} cached={}",
-                        v.name,
-                        v.relations.join(","),
-                        v.cached
-                    )
-                    .ok()?;
+                    let reads = v.relations.join(",");
+                    let _ = writeln!(out, "VIEW {} reads={reads} cached={}", v.name, v.cached);
                 }
-                writer.flush().ok()?;
-                Some(false)
+                out
             }
             Request::CatalogVerify => {
                 let Some(store) = self.catalog.store() else {
-                    self.stats.errors.fetch_add(1, Ordering::Relaxed);
-                    return self.reply(
-                        writer,
-                        &err_reply("no durable store attached (start the server with --data-dir)"),
+                    return Some(
+                        self.error("no durable store attached (start the server with --data-dir)"),
                     );
                 };
                 let dir = store.lock().expect("catalog store lock").dir().to_path_buf();
@@ -487,25 +366,19 @@ impl Connection {
                         let live: Vec<String> =
                             self.catalog.list().into_iter().map(|v| v.name).collect();
                         let matches = if live == report.views { "yes" } else { "no" };
-                        self.reply(
-                            writer,
-                            &format!(
-                                "OK generation={} snapshot_records={} log_records={} \
-                                 torn_bytes={} stale_log={} views={} ddl={} match={matches}",
-                                report.generation,
-                                report.snapshot_records,
-                                report.log_records,
-                                report.torn_bytes,
-                                report.stale_log,
-                                report.views.len(),
-                                report.ddl_records,
-                            ),
+                        format!(
+                            "OK generation={} snapshot_records={} log_records={} \
+                             torn_bytes={} stale_log={} views={} ddl={} match={matches}\n",
+                            report.generation,
+                            report.snapshot_records,
+                            report.log_records,
+                            report.torn_bytes,
+                            report.stale_log,
+                            report.views.len(),
+                            report.ddl_records,
                         )
                     }
-                    Err(e) => {
-                        self.stats.errors.fetch_add(1, Ordering::Relaxed);
-                        self.reply(writer, &err_reply(&e.to_string()))
-                    }
+                    Err(e) => self.error(&e.to_string()),
                 }
             }
             Request::Stats => {
@@ -514,18 +387,25 @@ impl Connection {
                     .zip(self.stats_values())
                     .map(|(f, v)| format!("{}={v}", f.stats_key))
                     .collect();
-                self.reply(writer, &format!("OK {}", pairs.join(" ")))
+                format!("OK {}\n", pairs.join(" "))
             }
             Request::Metrics => {
                 let lines = metrics::render(&self.stats_values(), &obs::snapshot());
-                writeln!(writer, "OK {}", lines.len()).ok()?;
+                let mut out = format!("OK {}\n", lines.len());
                 for l in &lines {
-                    writeln!(writer, "{l}").ok()?;
+                    out.push_str(l);
+                    out.push('\n');
                 }
-                writer.flush().ok()?;
-                Some(false)
+                out
             }
-        }
+        };
+        Some(reply)
+    }
+
+    /// An `ERR` reply line, counted in the `STATS` `errors` key.
+    fn error(&self, detail: &str) -> String {
+        self.stats.errors.fetch_add(1, Ordering::Relaxed);
+        format!("{}\n", err_reply(detail))
     }
 
     /// The live `STATS` values in [`STATS_FAMILIES`] order: the one source
@@ -578,6 +458,45 @@ impl Connection {
     }
 }
 
+/// Read one request line of at most [`MAX_LINE_BYTES`]. `None` closes the
+/// connection: end of file before any byte, a read error, an over-long
+/// line, or a line that is not UTF-8 (not this protocol). The bytes are
+/// decoded only once the whole line is in, since escaped payloads pass
+/// non-ASCII through raw.
+fn read_line(reader: &mut impl BufRead) -> Option<String> {
+    let mut bytes = Vec::new();
+    // One byte past the cap tells an over-long line from one that fits.
+    let n = reader.take(MAX_LINE_BYTES as u64 + 1).read_until(b'\n', &mut bytes).ok()?;
+    if n == 0 || n > MAX_LINE_BYTES {
+        return None;
+    }
+    String::from_utf8(bytes).ok()
+}
+
+/// Read the body of a `BATCH`/`BATCHALL`: exactly `count` item lines, each
+/// parsed with `parse`. Every line is consumed even after a malformed one —
+/// replying `ERR` early would leave the rest of the batch in the stream to
+/// be misread as top-level requests, desyncing every later request/reply
+/// pair. `Err` carries the first malformed item's detail; `None` means the
+/// connection ended mid-batch.
+fn read_items<T>(
+    reader: &mut impl BufRead,
+    count: usize,
+    parse: fn(&str) -> Result<T, String>,
+) -> Option<Result<Vec<T>, String>> {
+    let mut items = Ok(Vec::with_capacity(count));
+    for _ in 0..count {
+        let line = read_line(reader)?;
+        if let Ok(parsed) = &mut items {
+            match parse(&line) {
+                Ok(item) => parsed.push(item),
+                Err(detail) => items = Err(detail),
+            }
+        }
+    }
+    Some(items)
+}
+
 /// Tab-join the wire outcomes of one update's action reports (the `CHECK`
 /// reply payload).
 pub fn report_line(reports: &[CheckReport]) -> String {
@@ -603,12 +522,14 @@ mod tests {
     impl Client {
         fn connect(addr: SocketAddr) -> Client {
             let stream = TcpStream::connect(addr).expect("server accepts");
+            stream.set_nodelay(true).unwrap();
             Client { reader: BufReader::new(stream.try_clone().unwrap()), writer: stream }
         }
 
-        fn send(&mut self, line: &str) {
-            writeln!(self.writer, "{line}").unwrap();
-            self.writer.flush().unwrap();
+        /// Send `text` (one or more lines) and its final newline in one
+        /// write.
+        fn send(&mut self, text: &str) {
+            self.writer.write_all(format!("{text}\n").as_bytes()).unwrap();
         }
 
         fn recv(&mut self) -> String {
@@ -952,5 +873,74 @@ mod tests {
         let handle = std::thread::spawn(move || server.run().unwrap());
         shutdown.shutdown();
         handle.join().expect("run() returns after shutdown_handle");
+    }
+
+    #[test]
+    fn shutdown_wakes_an_idle_connection_at_once() {
+        let catalog = Arc::new(ShardedCatalog::new(bookdemo::book_schema()));
+        let server = CheckServer::bind("127.0.0.1:0", catalog, &bookdemo::book_db(), 1).unwrap();
+        let addr = server.local_addr();
+        let shutdown = server.shutdown_handle();
+        let handle = std::thread::spawn(move || server.run().unwrap());
+        let mut idle = Client::connect(addr);
+        assert_eq!(idle.roundtrip("PING"), "OK pong");
+
+        let started = Instant::now();
+        shutdown.shutdown();
+        handle.join().unwrap();
+        let waited = started.elapsed();
+        assert!(waited < Duration::from_millis(100), "run() returned after {waited:?}");
+        assert_eq!(idle.recv(), "", "the idle client sees the server close");
+    }
+
+    /// A reply or request split across writes has its tail held by Nagle's
+    /// algorithm until the peer's delayed ACK, about 44 ms a round trip on
+    /// Linux. Both replies here exceed 8 KiB, so an 8 KiB write buffer
+    /// would split them.
+    #[test]
+    fn replies_over_8_kib_are_not_held_for_a_delayed_ack() {
+        let (addr, handle) = spawn_book_server(2);
+        let mut c = Client::connect(addr);
+        let updates = [bookdemo::U8, bookdemo::U10, bookdemo::U13, bookdemo::U5];
+        let mut batch = vec!["BATCH 64".to_string()];
+        batch.extend((0..64).map(|i| crate::proto::batch_item("books", updates[i % 4])));
+        let batch = batch.join("\n");
+
+        // One round trip: (reply bytes, milliseconds).
+        let mut timed = |request: &str| -> (usize, f64) {
+            let started = Instant::now();
+            c.send(request);
+            let mut lines = vec![c.recv()];
+            if request == "METRICS" {
+                let n: usize = lines[0].strip_prefix("OK ").unwrap().parse().unwrap();
+                lines.extend((0..n).map(|_| c.recv()));
+            } else {
+                while !lines.last().unwrap().starts_with("END ") {
+                    lines.push(c.recv());
+                }
+            }
+            let ms = started.elapsed().as_secs_f64() * 1e3;
+            (lines.iter().map(|l| l.len() + 1).sum(), ms)
+        };
+        let (mut metrics_ms, mut batch_ms) = (Vec::new(), Vec::new());
+        for _ in 0..10 {
+            let (bytes, ms) = timed("METRICS");
+            assert!(bytes > 8192, "METRICS reply is {bytes} bytes");
+            metrics_ms.push(ms);
+            let (bytes, ms) = timed(&batch);
+            assert!(bytes > 8192, "BATCH reply is {bytes} bytes");
+            batch_ms.push(ms);
+        }
+        let median = |mut ms: Vec<f64>| {
+            ms.sort_by(f64::total_cmp);
+            ms[ms.len() / 2]
+        };
+        let (metrics, batch) = (median(metrics_ms), median(batch_ms));
+        assert!(
+            metrics < 20.0 && batch < 20.0,
+            "median round trips: METRICS {metrics:.1} ms, BATCH {batch:.1} ms"
+        );
+        assert_eq!(c.roundtrip("SHUTDOWN"), "OK bye");
+        handle.join().unwrap();
     }
 }

@@ -16,7 +16,7 @@
 //! manifest (`name=viewfile` lines) the `catalog`/`check-batch` commands
 //! operate on.
 
-use std::io::{BufRead, BufReader, BufWriter, Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
@@ -391,15 +391,17 @@ fn parse_uall_file(path: &str, text: &str) -> Result<Vec<String>, String> {
 ///
 /// Returns `Ok(false)` (exit code 1) if the server sent any `ERR` reply.
 fn run_client(script: &str, stream: TcpStream) -> Result<bool, String> {
-    let reader_stream = stream.try_clone().map_err(|e| e.to_string())?;
-    let mut reader = BufReader::new(reader_stream);
-    let mut writer = BufWriter::new(stream);
+    // Each request goes out in one write, with Nagle off: a request split
+    // across writes waits on the server's delayed ACK.
+    stream.set_nodelay(true).map_err(|e| e.to_string())?;
+    let mut reader = BufReader::new(&stream);
     let mut all_ok = true;
 
-    let send = |writer: &mut BufWriter<TcpStream>, line: &str| -> Result<(), String> {
-        writeln!(writer, "{line}").and_then(|()| writer.flush()).map_err(|e| e.to_string())
+    // `request` is one or more lines; its final newline is added here.
+    let send = |request: &str| -> Result<(), String> {
+        (&stream).write_all(format!("{request}\n").as_bytes()).map_err(|e| e.to_string())
     };
-    let recv = |reader: &mut BufReader<TcpStream>| -> Result<String, String> {
+    let mut recv = || -> Result<String, String> {
         let mut line = String::new();
         match reader.read_line(&mut line) {
             Ok(0) => Err("server closed the connection".into()),
@@ -429,26 +431,26 @@ fn run_client(script: &str, stream: TcpStream) -> Result<bool, String> {
                 arity(2)?;
                 let text = std::fs::read_to_string(rest[1])
                     .map_err(|e| err_here(format!("{}: {e}", rest[1])))?;
-                send(&mut writer, &proto::catalog_add_request(rest[0], &text))?;
-                let reply = recv(&mut reader)?;
+                send(&proto::catalog_add_request(rest[0], &text))?;
+                let reply = recv()?;
                 all_ok &= !reply.starts_with("ERR");
                 println!("{reply}");
             }
             "drop" => {
                 arity(1)?;
-                send(&mut writer, &format!("CATALOG DROP {}", rest[0]))?;
-                let reply = recv(&mut reader)?;
+                send(&format!("CATALOG DROP {}", rest[0]))?;
+                let reply = recv()?;
                 all_ok &= !reply.starts_with("ERR");
                 println!("{reply}");
             }
             "list" => {
                 arity(0)?;
-                send(&mut writer, "CATALOG LIST")?;
-                let head = recv(&mut reader)?;
+                send("CATALOG LIST")?;
+                let head = recv()?;
                 println!("{head}");
                 if let Some(n) = head.strip_prefix("OK ").and_then(|n| n.parse::<usize>().ok()) {
                     for _ in 0..n {
-                        println!("{}", recv(&mut reader)?);
+                        println!("{}", recv()?);
                     }
                 } else {
                     all_ok = false;
@@ -458,8 +460,8 @@ fn run_client(script: &str, stream: TcpStream) -> Result<bool, String> {
                 arity(2)?;
                 let update = std::fs::read_to_string(rest[1])
                     .map_err(|e| err_here(format!("{}: {e}", rest[1])))?;
-                send(&mut writer, &proto::check_request(rest[0], &update))?;
-                let reply = recv(&mut reader)?;
+                send(&proto::check_request(rest[0], &update))?;
+                let reply = recv()?;
                 match reply.strip_prefix("OK ") {
                     Some(outcomes) => {
                         for outcome in outcomes.split('\t') {
@@ -477,18 +479,17 @@ fn run_client(script: &str, stream: TcpStream) -> Result<bool, String> {
                 let text = std::fs::read_to_string(rest[0])
                     .map_err(|e| err_here(format!("{}: {e}", rest[0])))?;
                 let items = parse_batch_file(rest[0], &text)?;
-                send(&mut writer, &format!("BATCH {}", items.len()))?;
-                for (view, update) in &items {
-                    send(&mut writer, &proto::batch_item(view, update))?;
-                }
-                let head = recv(&mut reader)?;
+                let mut request = vec![format!("BATCH {}", items.len())];
+                request.extend(items.iter().map(|(view, update)| proto::batch_item(view, update)));
+                send(&request.join("\n"))?;
+                let head = recv()?;
                 if !head.starts_with("OK ") {
                     all_ok = false;
                     println!("{head}");
                     continue;
                 }
                 loop {
-                    let reply = recv(&mut reader)?;
+                    let reply = recv()?;
                     if let Some(rest) = reply.strip_prefix("ITEM ") {
                         // ITEM <index> <view> <wire-outcome> — print the
                         // exact line shape `check-batch` uses.
@@ -514,15 +515,15 @@ fn run_client(script: &str, stream: TcpStream) -> Result<bool, String> {
                 arity(1)?;
                 let update = std::fs::read_to_string(rest[0])
                     .map_err(|e| err_here(format!("{}: {e}", rest[0])))?;
-                send(&mut writer, &proto::checkall_request(&update))?;
-                let head = recv(&mut reader)?;
+                send(&proto::checkall_request(&update))?;
+                let head = recv()?;
                 if !head.starts_with("OK ") {
                     all_ok = false;
                     println!("{head}");
                     continue;
                 }
                 loop {
-                    let reply = recv(&mut reader)?;
+                    let reply = recv()?;
                     if let Some(rest) = reply.strip_prefix("ITEM ") {
                         // ITEM <view> <wire-outcome> — print the exact line
                         // shape `check-all` uses.
@@ -543,18 +544,17 @@ fn run_client(script: &str, stream: TcpStream) -> Result<bool, String> {
                 let text = std::fs::read_to_string(rest[0])
                     .map_err(|e| err_here(format!("{}: {e}", rest[0])))?;
                 let updates = parse_uall_file(rest[0], &text)?;
-                send(&mut writer, &format!("BATCHALL {}", updates.len()))?;
-                for update in &updates {
-                    send(&mut writer, &proto::batchall_item(update))?;
-                }
-                let head = recv(&mut reader)?;
+                let mut request = vec![format!("BATCHALL {}", updates.len())];
+                request.extend(updates.iter().map(|update| proto::batchall_item(update)));
+                send(&request.join("\n"))?;
+                let head = recv()?;
                 if !head.starts_with("OK ") {
                     all_ok = false;
                     println!("{head}");
                     continue;
                 }
                 loop {
-                    let reply = recv(&mut reader)?;
+                    let reply = recv()?;
                     if let Some(rest) = reply.strip_prefix("ITEM ") {
                         let mut f = rest.splitn(3, ' ');
                         let (i, view, outcome) = (
@@ -576,19 +576,19 @@ fn run_client(script: &str, stream: TcpStream) -> Result<bool, String> {
             }
             "verify" => {
                 arity(0)?;
-                send(&mut writer, "CATALOG VERIFY")?;
-                let reply = recv(&mut reader)?;
+                send("CATALOG VERIFY")?;
+                let reply = recv()?;
                 all_ok &= !reply.starts_with("ERR");
                 println!("{reply}");
             }
             "metrics" => {
                 arity(0)?;
-                send(&mut writer, "METRICS")?;
-                let head = recv(&mut reader)?;
+                send("METRICS")?;
+                let head = recv()?;
                 match head.strip_prefix("OK ").and_then(|n| n.parse::<usize>().ok()) {
                     Some(n) => {
                         for _ in 0..n {
-                            println!("{}", recv(&mut reader)?);
+                            println!("{}", recv()?);
                         }
                     }
                     None => {
@@ -599,8 +599,8 @@ fn run_client(script: &str, stream: TcpStream) -> Result<bool, String> {
             }
             "stats" | "ping" | "shutdown" => {
                 arity(0)?;
-                send(&mut writer, verb.to_uppercase().as_str())?;
-                let reply = recv(&mut reader)?;
+                send(verb.to_uppercase().as_str())?;
+                let reply = recv()?;
                 all_ok &= !reply.starts_with("ERR");
                 println!("{reply}");
             }

@@ -139,12 +139,13 @@ struct Client {
 impl Client {
     fn connect(addr: SocketAddr) -> Client {
         let stream = TcpStream::connect(addr).expect("server accepts");
+        stream.set_nodelay(true).unwrap();
         Client { reader: BufReader::new(stream.try_clone().unwrap()), writer: stream }
     }
 
-    fn send(&mut self, line: &str) {
-        writeln!(self.writer, "{line}").unwrap();
-        self.writer.flush().unwrap();
+    /// Send `text` (one or more lines) and its final newline in one write.
+    fn send(&mut self, text: &str) {
+        self.writer.write_all(format!("{text}\n").as_bytes()).unwrap();
     }
 
     fn recv(&mut self) -> String {
@@ -201,10 +202,9 @@ fn served_batch_is_byte_identical_to_check_batch() {
     assert!(saw_non_injective, "no CHECK surfaced the non-injective wire code");
 
     // BATCH: the full stream in one request, byte-identical ITEM lines.
-    c.send(&format!("BATCH {}", stream.len()));
-    for (view, update) in &stream {
-        c.send(&proto::batch_item(view, update));
-    }
+    let mut request = vec![format!("BATCH {}", stream.len())];
+    request.extend(stream.iter().map(|(view, update)| proto::batch_item(view, update)));
+    c.send(&request.join("\n"));
     let head = c.recv();
     assert_eq!(head, format!("OK {}", stream.len()), "{head}");
     let mut got: Vec<String> = Vec::new();

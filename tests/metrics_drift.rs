@@ -79,12 +79,14 @@ struct Client {
 impl Client {
     fn connect(addr: &str) -> Client {
         let stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
         let reader = BufReader::new(stream.try_clone().expect("clone"));
         Client { reader, writer: stream }
     }
 
+    /// Send one request line and its newline in one write.
     fn send(&mut self, line: &str) {
-        writeln!(self.writer, "{line}").expect("send");
+        self.writer.write_all(format!("{line}\n").as_bytes()).expect("send");
     }
 
     fn recv(&mut self) -> String {
