@@ -1,5 +1,5 @@
 //! Criterion micro-benches for the batch checking engine: one-at-a-time vs
-//! `ViewCatalog::check_batch` over repeat-heavy and all-distinct streams.
+//! `ViewCatalog::check` over repeat-heavy and all-distinct streams.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ufilter_core::ViewCatalog;

@@ -1,10 +1,10 @@
 //! Criterion micro-benches for the relevance index: routing cost per
 //! update at catalog scale, trie insert/remove/route at signature scale,
-//! and full check-all fan-out vs the brute-force per-view loop.
+//! and full check-all fan-out vs the brute-force every-view request.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use ufilter_asg::build_view_asg;
-use ufilter_core::{ProbeCache, ViewCatalog};
+use ufilter_core::{ProbeCache, Target, ViewCatalog};
 use ufilter_rdb::DeletePolicy;
 use ufilter_route::{Footprint, RelevanceIndex, TrieIndex, ViewSignature};
 use ufilter_tpch::{fanout_stream, generate, many_views, tpch_schema, Scale};
@@ -37,21 +37,26 @@ fn bench_route(c: &mut Criterion) {
     let update = parse_update(&ufilter_tpch::fanout_updates::delete_customer_orders(3))
         .expect("update parses");
 
-    c.bench_function("route_one_update_100_views", |b| b.iter(|| cat.relevant_views(&update)));
+    c.bench_function("route_one_update_100_views", |b| b.iter(|| cat.route_update(&update)));
 
     let db = generate(scale, 42, DeletePolicy::Cascade);
     let updates = fanout_stream(16, scale, 42);
-    let refs: Vec<&str> = updates.iter().map(String::as_str).collect();
+    let routed: Vec<_> = updates.iter().map(|u| (Target::Routed, u.as_str())).collect();
+    let names: Vec<String> = cat.list().into_iter().map(|v| v.name).collect();
+    let every_view: Vec<_> = updates
+        .iter()
+        .flat_map(|u| names.iter().map(move |v| (Target::View(v), u.as_str())))
+        .collect();
     c.bench_function("check_all_indexed_16x100", |b| {
         b.iter(|| {
             let mut db = db.clone();
-            cat.check_all_batch_refs(&refs, &mut db, &mut ProbeCache::new())
+            cat.check(&routed, &mut db, &mut ProbeCache::new())
         })
     });
     c.bench_function("check_all_brute_16x100", |b| {
         b.iter(|| {
             let mut db = db.clone();
-            cat.check_all_brute(&refs, &mut db, &mut ProbeCache::new())
+            cat.check(&every_view, &mut db, &mut ProbeCache::new())
         })
     });
 }

@@ -8,7 +8,9 @@
 
 use std::time::{Duration, Instant};
 
-use ufilter_core::{blind_apply, ProbeCache, Strategy, UFilter, UFilterConfig, ViewCatalog};
+use ufilter_core::{
+    blind_apply, ProbeCache, Strategy, Target, UFilter, UFilterConfig, ViewCatalog,
+};
 use ufilter_rdb::{DatabaseSchema, Db, DeletePolicy};
 use ufilter_tpch::{
     fanout_stream, generate, many_views, stream, stream_views, tpch_schema, updates, vfail_for,
@@ -556,7 +558,7 @@ pub fn ablation_materialization(mb: usize, reps: usize) -> Table {
 }
 
 // ---------------------------------------------------------------------------
-// Batch checking — one-at-a-time vs. ViewCatalog::check_batch throughput
+// Batch checking — one-at-a-time vs. ViewCatalog::check throughput
 // ---------------------------------------------------------------------------
 
 /// A catalog with the three evaluation views registered.
@@ -585,8 +587,9 @@ pub fn batch_throughput(mb: usize, len: usize, distinct_keys: usize, reps: usize
         }
     });
     // Batched: shared parse cache, per-target grouping, shared probe cache.
+    let named: Vec<_> = s.iter().map(|(v, t)| (Target::View(v), t.as_str())).collect();
     let t_batch = time_on_clone(&db, reps, |db| {
-        let batch = catalog.check_batch_text(&s, db);
+        let batch = catalog.check(&named, db, &mut ProbeCache::new());
         assert_eq!(batch.items.len(), s.len());
     });
 
@@ -599,7 +602,7 @@ pub fn batch_throughput(mb: usize, len: usize, distinct_keys: usize, reps: usize
     };
     // Re-run once (cheap) to report the amortization counters.
     let mut counters_db = db.clone();
-    let stats = catalog.check_batch_text(&s, &mut counters_db).stats;
+    let stats = catalog.check(&named, &mut counters_db, &mut ProbeCache::new()).stats;
     Table {
         title: format!(
             "Batch checking: {len}-update stream over 3 views, {distinct_keys}-key pool, \
@@ -626,36 +629,42 @@ pub fn batch_json(reps: usize) -> String {
 }
 
 // ---------------------------------------------------------------------------
-// Catalog-wide fan-out — RelevanceIndex routing vs the brute-force loop
+// Catalog-wide fan-out — trie routing vs the brute-force every-view request
 // ---------------------------------------------------------------------------
 
-/// Check-all fan-out over an `n`-view partitioned catalog: the relevance
-/// index (`check_all_batch_refs`) against the brute-force per-view loop
-/// (`check_all_brute`), on the same `len`-update stream. The differential
-/// soundness test (`tests/route_soundness.rs`) pins both to identical
-/// outcomes on candidates; this table measures the wall-clock gap and the
-/// pruning ratio.
+/// Check-all fan-out over an `n`-view partitioned catalog: routed items
+/// (the path trie picks each update's candidates) against the brute-force
+/// baseline, the same updates sent as one request naming every view, on
+/// the same `len`-update stream. The differential soundness test
+/// (`tests/route_soundness.rs`) pins both to identical outcomes on
+/// candidates; this table measures the wall-clock gap and the pruning
+/// ratio.
 pub fn route_fanout(len: usize, reps: usize, sweep: &[usize]) -> Table {
     let scale = Scale::tiny();
     let db = generate(scale, 42, DeletePolicy::Cascade);
     let updates: Vec<String> = fanout_stream(len, scale, 42);
-    let refs: Vec<&str> = updates.iter().map(String::as_str).collect();
+    let routed: Vec<_> = updates.iter().map(|u| (Target::Routed, u.as_str())).collect();
     let mut rows = Vec::new();
     for &n in sweep {
         let mut catalog = ViewCatalog::new(schema());
         for (name, text) in many_views(n, scale) {
             catalog.add(&name, &text).expect("generated view compiles");
         }
+        let names: Vec<String> = catalog.list().into_iter().map(|v| v.name).collect();
+        let every_view: Vec<_> = updates
+            .iter()
+            .flat_map(|u| names.iter().map(move |v| (Target::View(v), u.as_str())))
+            .collect();
         let t_index = time_on_clone(&db, reps, |db| {
-            let report = catalog.check_all_batch_refs(&refs, db, &mut ProbeCache::new());
+            let report = catalog.check(&routed, db, &mut ProbeCache::new());
             assert_eq!(report.fanout.fanout_requests, len);
         });
         let t_brute = time_on_clone(&db, reps, |db| {
-            let report = catalog.check_all_brute(&refs, db, &mut ProbeCache::new());
-            assert_eq!(report.fanout.fanout_requests, len);
+            let report = catalog.check(&every_view, db, &mut ProbeCache::new());
+            assert_eq!(report.items.len(), len * n);
         });
         let mut stats_db = db.clone();
-        let f = catalog.check_all_batch_refs(&refs, &mut stats_db, &mut ProbeCache::new()).fanout;
+        let f = catalog.check(&routed, &mut stats_db, &mut ProbeCache::new()).fanout;
         let total = (f.fanout_requests * n).max(1);
         rows.push(vec![
             n.to_string(),
@@ -668,7 +677,7 @@ pub fn route_fanout(len: usize, reps: usize, sweep: &[usize]) -> Table {
     }
     Table {
         title: format!(
-            "Catalog-wide check-all: RelevanceIndex vs brute-force per-view loop \
+            "Catalog-wide check-all: path-trie routing vs brute-force every-view request \
              ({len}-update TPC-H fan-out stream, partitioned many-view catalog)"
         ),
         headers: vec![

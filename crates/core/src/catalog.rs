@@ -9,17 +9,16 @@
 //!   or after a drop — reuses the compiled ASG + STAR marking);
 //! * tracks **view → relation dependencies**, so schema-affecting DDL on a
 //!   relation is rejected (RESTRICT) while registered views still read it;
-//! * exposes [`check_batch`](ViewCatalog::check_batch), which amortizes
-//!   parsing, target resolution and data-check probes across a whole update
-//!   stream — updates are grouped by resolved target so identical context
-//!   probes share a single scan (see [`ProbeCache`]);
+//! * exposes one check engine, [`check`](ViewCatalog::check), which
+//!   amortizes parsing, target resolution and data-check probes across a
+//!   whole update stream — updates are grouped by resolved target so
+//!   identical context probes share a single scan (see [`ProbeCache`]);
 //! * maintains a shared **relevance index** ([`ufilter_route`]) over every
-//!   registered view, so [`check_all`](ViewCatalog::check_all) /
-//!   [`check_all_batch`](ViewCatalog::check_all_batch) can fan one update
-//!   out to the candidate views it could possibly affect instead of
-//!   running the pipeline against the whole catalog — a sound superset,
-//!   with [`check_all_brute`](ViewCatalog::check_all_brute) as the
-//!   index-free baseline and fallback.
+//!   registered view, so an item whose [`Target`] is
+//!   [`Routed`](Target::Routed) fans out to the candidate views it could
+//!   possibly affect instead of running the pipeline against the whole
+//!   catalog — a sound superset. The brute-force baseline is the same
+//!   request naming every view.
 //!
 //! Batch checking is **check-only** by design: nothing is executed, so every
 //! probe result stays valid for the lifetime of the batch and the per-update
@@ -28,17 +27,18 @@
 //!
 //! ```
 //! use ufilter_core::bookdemo;
-//! use ufilter_core::catalog::ViewCatalog;
+//! use ufilter_core::catalog::{Target, ViewCatalog};
+//! use ufilter_core::ProbeCache;
 //!
 //! let mut catalog = ViewCatalog::new(bookdemo::book_schema());
 //! catalog.add("books", bookdemo::BOOK_VIEW).unwrap();
 //!
 //! let mut db = bookdemo::book_db();
-//! let stream =
-//!     vec![("books".to_string(), bookdemo::U8.to_string()), ("books".into(), bookdemo::U10.into())];
-//! let batch = catalog.check_batch_text(&stream, &mut db);
+//! let items = [(Target::View("books"), bookdemo::U8), (Target::Routed, bookdemo::U10)];
+//! let batch = catalog.check(&items, &mut db, &mut ProbeCache::new());
 //! assert!(batch.items[0].reports[0].outcome.is_translatable()); // u8
-//! assert!(!batch.items[1].reports[0].outcome.is_translatable()); // u10
+//! assert!(!batch.items[1].reports[0].outcome.is_translatable()); // u10, routed to "books"
+//! assert_eq!(batch.fanout.candidates, 1);
 //! ```
 
 use std::collections::{BTreeMap, HashMap};
@@ -46,12 +46,14 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use ufilter_rdb::{DatabaseSchema, Db, ExecOutcome, Parser, Stmt};
 use ufilter_route::{IndexStats, Route, TrieIndex, ViewSignature};
-use ufilter_xquery::{parse_update, UpdateStmt};
+use ufilter_xquery::UpdateStmt;
 
 use crate::obs::{self, Stage};
 use crate::outcome::CheckReport;
 use crate::persist::{self, CatalogStore, LogRecord, ReplayStats};
-use crate::pipeline::{malformed, CompileError, ProbeCache, UFilter, UFilterConfig};
+use crate::pipeline::{
+    malformed, parse_update_timed, CompileError, ProbeCache, UFilter, UFilterConfig,
+};
 use crate::target::resolve;
 
 /// Why a catalog operation failed.
@@ -130,12 +132,23 @@ pub struct ViewInfo {
     pub cached: bool,
 }
 
-/// Per-item result of a batch check, in input order.
+/// Which views one check item goes to.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Target<'a> {
+    /// The named view (the `CHECK` and `BATCH` verbs).
+    View(&'a str),
+    /// Every candidate view the relevance index routes the update to (the
+    /// `CHECKALL` and `BATCHALL` verbs).
+    Routed,
+}
+
+/// One (item, view) result of a check.
 #[derive(Debug, Clone)]
 pub struct BatchItemReport {
     /// Index of the item in the submitted stream.
     pub index: usize,
-    /// The view the update addressed.
+    /// The view checked: the item's named view, or one of its routed
+    /// candidates.
     pub view: String,
     /// Per-action reports, exactly as [`UFilter::check`] would produce.
     pub reports: Vec<CheckReport>,
@@ -144,7 +157,7 @@ pub struct BatchItemReport {
 /// Amortization counters for one batch.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct BatchStats {
-    /// Number of items in the stream.
+    /// Number of (item, view) checks run.
     pub items: usize,
     /// Updates whose text was already parsed earlier in the batch.
     pub parse_hits: usize,
@@ -168,19 +181,22 @@ impl BatchStats {
     }
 }
 
-/// Result of [`ViewCatalog::check_batch`]: per-item reports plus the
-/// amortization counters.
+/// Result of [`ViewCatalog::check`]: per-(item, view) reports plus the
+/// amortization and routing counters.
 #[derive(Debug, Clone)]
 pub struct BatchReport {
-    /// One entry per submitted item, sorted back into input order.
+    /// One entry per checked (item, view) pair, sorted by item index, then
+    /// view name.
     pub items: Vec<BatchItemReport>,
     /// What the batch engine amortized.
     pub stats: BatchStats,
+    /// What routing did for the [`Target::Routed`] items (all zero when
+    /// every item names its view).
+    pub fanout: FanoutStats,
 }
 
-/// Pruning and fan-out counters for catalog-wide checking, aggregated over
-/// one [`ViewCatalog::check_all`] / [`ViewCatalog::check_all_batch`] call (or
-/// one service fan-out request). Field names match
+/// Pruning and fan-out counters for the [`Target::Routed`] items of one
+/// [`ViewCatalog::check`] call (or one service request). Field names match
 /// the service `STATS` counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FanoutStats {
@@ -204,8 +220,7 @@ pub struct FanoutStats {
 }
 
 impl FanoutStats {
-    /// Fold one routing decision into the counters (the service's fan-out
-    /// paths call this per request).
+    /// Fold one routing decision into the counters.
     pub fn absorb(&mut self, route: &Route) {
         self.fanout_requests += 1;
         self.candidates += route.candidates.len();
@@ -215,30 +230,19 @@ impl FanoutStats {
         self.pruned_preds += route.pruned_preds;
         self.fallbacks += usize::from(route.fallback);
     }
-}
 
-/// One (update, candidate view) result of a catalog-wide check.
-#[derive(Debug, Clone)]
-pub struct FanoutItem {
-    /// Index of the update in the submitted stream (0 for single-update
-    /// [`ViewCatalog::check_all`]).
-    pub update: usize,
-    /// The candidate view this entry checked against.
-    pub view: String,
-    /// Per-action reports, exactly as [`UFilter::check`] would produce.
-    pub reports: Vec<CheckReport>,
-}
-
-/// Result of a catalog-wide check: per-candidate reports in
-/// `(update index, view name)` order, plus routing and batch counters.
-#[derive(Debug, Clone)]
-pub struct FanoutReport {
-    /// One entry per surviving (update, candidate view) pair.
-    pub items: Vec<FanoutItem>,
-    /// What the relevance index pruned.
-    pub fanout: FanoutStats,
-    /// What the batch engine amortized across the candidates.
-    pub batch: BatchStats,
+    /// Accumulate another request's counters into this one (`views` is a
+    /// gauge: the other request's value wins).
+    pub fn merge(&mut self, other: &FanoutStats) {
+        self.views = other.views;
+        self.fanout_requests += other.fanout_requests;
+        self.candidates += other.candidates;
+        self.pruned += other.pruned;
+        self.pruned_tags += other.pruned_tags;
+        self.pruned_paths += other.pruned_paths;
+        self.pruned_preds += other.pruned_preds;
+        self.fallbacks += other.fallbacks;
+    }
 }
 
 /// What a lazily-recovered view needs to build its [`UFilter`] on first
@@ -449,8 +453,8 @@ impl ViewCatalog {
 
     /// All registered views, in **ascending name order** (a documented
     /// guarantee, like [`dependents_of`](Self::dependents_of) and
-    /// [`relevant_views`](Self::relevant_views): every name list the
-    /// catalog returns is deterministic and name-sorted).
+    /// [`route_update`](Self::route_update): every name list the catalog
+    /// returns is deterministic and name-sorted).
     pub fn list(&self) -> Vec<ViewInfo> {
         self.views
             .iter()
@@ -497,19 +501,46 @@ impl ViewCatalog {
         self.index.views_reading(relation)
     }
 
-    /// The views a parsed update could possibly affect, in **ascending
-    /// name order** — a sound superset of the truly relevant views (see
-    /// [`ufilter_route`]): every pruned view is guaranteed to classify the
-    /// update as statically irrelevant (`Invalid` with an
+    /// Route a parsed update through the relevance index: the candidate
+    /// views in **ascending name order**, plus the per-level pruning
+    /// counters. The candidates are a sound superset of the truly relevant
+    /// views (see [`ufilter_route`]): every pruned view is guaranteed to
+    /// classify the update as statically irrelevant (`Invalid` with an
     /// unknown-target / hierarchy / predicate-outside-view reason).
-    pub fn relevant_views(&self, u: &UpdateStmt) -> Vec<String> {
-        self.index.route(u).candidates
-    }
-
-    /// [`relevant_views`](Self::relevant_views) with the full per-level
-    /// pruning counters.
     pub fn route_update(&self, u: &UpdateStmt) -> Route {
         self.index.route(u)
+    }
+
+    /// The routing step of one [`Target::Routed`] item, shared by
+    /// [`check`](Self::check) and the service pool: the candidates of
+    /// [`route_update`](Self::route_update) (timed as the route stage and
+    /// recorded in the candidate histogram), or every view as a fallback
+    /// when the update text did not parse (`update` is `None`) — each view
+    /// then reports the same malformed outcome a direct check would.
+    /// The decision is folded into `fanout`.
+    pub fn route_candidates(
+        &self,
+        update: Option<&UpdateStmt>,
+        fanout: &mut FanoutStats,
+    ) -> Vec<String> {
+        let route = match update {
+            Some(u) => {
+                let span = obs::clock();
+                let route = self.index.route(u);
+                obs::stage_elapsed(Stage::Route, span);
+                obs::record_route_candidates(route.candidates.len());
+                route
+            }
+            None => Route {
+                candidates: self.views.keys().cloned().collect(),
+                views: self.views.len(),
+                fallback: true,
+                ..Route::default()
+            },
+        };
+        fanout.views = self.views.len();
+        fanout.absorb(&route);
+        route.candidates
     }
 
     /// Resident-size and churn gauges of the routing index (the service
@@ -723,85 +754,82 @@ impl ViewCatalog {
         Ok(stats)
     }
 
-    /// Check a stream of raw update texts. Parsing is amortized: each
-    /// distinct text is parsed once, however often it recurs in the stream.
-    /// Items naming an unregistered view or failing to parse get a
-    /// per-item invalid report; they never abort the batch.
-    pub fn check_batch_text(&self, items: &[(String, String)], db: &mut Db) -> BatchReport {
-        self.check_batch_text_with_cache(items, db, &mut ProbeCache::new())
-    }
-
-    /// [`check_batch_text`](Self::check_batch_text) with a caller-supplied
-    /// probe cache that outlives the batch. This is the long-running-service
-    /// entry point: a `ufilter-service` worker keeps one cache per worker
-    /// across its whole lifetime, so probe results survive from one request
-    /// to the next. Sound only while the probed base tables do not change
-    /// between batches (the service is check-only, so they do not).
-    /// Reported [`BatchStats`] hit/miss counters are per-call deltas.
-    pub fn check_batch_text_with_cache(
+    /// The check engine: check every `(target, update text)` item. Each
+    /// distinct text is parsed once, however often it recurs; a
+    /// [`Routed`](Target::Routed) item expands to its candidate views
+    /// through [`route_candidates`](Self::route_candidates); then every
+    /// (item, view) pair runs through the grouped batch engine over
+    /// `cache`. Items naming an unregistered view or failing to parse get
+    /// a per-item invalid report; they never abort the batch. Reports come
+    /// back sorted by item index, then view name.
+    ///
+    /// `cache` may outlive the call: a `ufilter-service` worker keeps one
+    /// per worker across its whole lifetime, so probe results survive from
+    /// one request to the next. That is sound only while the probed base
+    /// tables do not change between calls (the service is check-only, so
+    /// they do not), and the engine invalidates the cache whenever the
+    /// catalog's schema epoch moved. Reported [`BatchStats`] hit/miss
+    /// counters are per-call deltas.
+    pub fn check(
         &self,
-        items: &[(String, String)],
+        items: &[(Target<'_>, &str)],
         db: &mut Db,
         cache: &mut ProbeCache,
     ) -> BatchReport {
-        let refs: Vec<(&str, &str)> = items.iter().map(|(v, t)| (v.as_str(), t.as_str())).collect();
-        self.check_batch_refs(&refs, db, cache)
-    }
-
-    /// [`check_batch_text_with_cache`](Self::check_batch_text_with_cache)
-    /// over borrowed items — the zero-copy entry point the service catalog
-    /// feeds worker partitions through.
-    pub fn check_batch_refs(
-        &self,
-        items: &[(&str, &str)],
-        db: &mut Db,
-        cache: &mut ProbeCache,
-    ) -> BatchReport {
-        let mut parsed: HashMap<&str, Result<UpdateStmt, String>> = HashMap::new();
-        let mut parse_hits = 0;
-        let mut stream: Vec<(usize, &str, Result<UpdateStmt, String>)> =
-            Vec::with_capacity(items.len());
-        for (i, (view, text)) in items.iter().copied().enumerate() {
-            let entry = match parsed.get(text) {
-                Some(r) => {
-                    parse_hits += 1;
-                    r.clone()
-                }
-                None => {
-                    let span = obs::clock();
-                    let r = parse_update(text).map_err(|e| e.to_string());
-                    obs::stage_elapsed(Stage::Parse, span);
-                    parsed.insert(text, r.clone());
-                    r
-                }
+        let mut fanout = FanoutStats::default();
+        // Each item's parse-result slot, and its candidates when routed.
+        let mut slot_of: HashMap<&str, usize> = HashMap::new();
+        let mut parsed: Vec<Result<UpdateStmt, String>> = Vec::new();
+        let mut expanded: Vec<(usize, Vec<String>)> = Vec::with_capacity(items.len());
+        for &(target, text) in items {
+            let slot = *slot_of.entry(text).or_insert_with(|| {
+                parsed.push(parse_update_timed(text));
+                parsed.len() - 1
+            });
+            let candidates = match target {
+                Target::View(_) => Vec::new(),
+                Target::Routed => self.route_candidates(parsed[slot].as_ref().ok(), &mut fanout),
             };
-            stream.push((i, view, entry));
+            expanded.push((slot, candidates));
         }
-        let mut report = self.run_batch(&stream, db, cache);
-        report.stats.parse_hits = parse_hits;
-        report
+        let mut stream = Vec::with_capacity(items.len());
+        for (index, (&(target, _), (slot, candidates))) in items.iter().zip(&expanded).enumerate() {
+            let update = &parsed[*slot];
+            match target {
+                Target::View(view) => stream.push((index, view, update)),
+                Target::Routed => {
+                    stream.extend(candidates.iter().map(|view| (index, view.as_str(), update)))
+                }
+            }
+        }
+        let (checked, mut stats) = self.run_batch(&stream, db, cache);
+        stats.parse_hits = items.len() - parsed.len();
+        BatchReport { items: checked, stats, fanout }
     }
 
-    /// Check a stream of already-parsed updates (see the module docs; this
-    /// is the amortized, check-only batch engine).
-    pub fn check_batch(&self, items: &[(String, UpdateStmt)], db: &mut Db) -> BatchReport {
-        let stream: Vec<(usize, &str, Result<UpdateStmt, String>)> = items
-            .iter()
-            .enumerate()
-            .map(|(i, (view, u))| (i, view.as_str(), Ok(u.clone())))
-            .collect();
-        self.run_batch(&stream, db, &mut ProbeCache::new())
+    /// [`check`](Self::check) of `(view, update text)` items with a fresh
+    /// probe cache (kept for the `ledger/` benchmark, which calls it).
+    pub fn check_batch_text(&self, items: &[(String, String)], db: &mut Db) -> BatchReport {
+        let named: Vec<_> = items.iter().map(|(v, t)| (Target::View(v), t.as_str())).collect();
+        self.check(&named, db, &mut ProbeCache::new())
     }
 
-    /// The shared batch engine: resolve every update once, group by
-    /// (view, resolved target node), then run the groups back-to-back over
-    /// one probe cache so same-target probes share scans.
+    /// [`check`](Self::check) of one routed update with a fresh probe
+    /// cache (kept for the `ledger/` benchmark, which calls it).
+    pub fn check_all(&self, update_text: &str, db: &mut Db) -> BatchReport {
+        self.check(&[(Target::Routed, update_text)], db, &mut ProbeCache::new())
+    }
+
+    /// The grouped batch engine: resolve every (item, view) pair once,
+    /// group by (view, resolved target node), then run the groups
+    /// back-to-back over one probe cache so same-target probes share
+    /// scans. Reports come back sorted by item index, then view name.
     fn run_batch(
         &self,
-        stream: &[(usize, &str, Result<UpdateStmt, String>)],
+        stream: &[(usize, &str, &Result<UpdateStmt, String>)],
         db: &mut Db,
         cache: &mut ProbeCache,
-    ) -> BatchReport {
+    ) -> (Vec<BatchItemReport>, BatchStats) {
         // A caller-held cache filled before a schema change must not answer
         // probes issued after it.
         cache.sync_epoch(self.epoch);
@@ -812,21 +840,21 @@ impl ViewCatalog {
         type Group<'a> = Vec<(usize, &'a str, Vec<crate::target::ResolvedAction>)>;
         let mut groups: BTreeMap<(&str, usize), Group> = BTreeMap::new();
 
-        for (index, view, parsed) in stream {
+        for &(index, view, parsed) in stream {
             let u = match parsed {
                 Ok(u) => u,
                 Err(m) => {
                     items.push(BatchItemReport {
-                        index: *index,
+                        index,
                         view: view.to_string(),
                         reports: vec![malformed(m.clone())],
                     });
                     continue;
                 }
             };
-            let Some(reg) = self.views.get(*view) else {
+            let Some(reg) = self.views.get(view) else {
                 items.push(BatchItemReport {
-                    index: *index,
+                    index,
                     view: view.to_string(),
                     reports: vec![malformed(format!("no view named '{view}' in the catalog"))],
                 });
@@ -835,12 +863,12 @@ impl ViewCatalog {
             match resolve(&reg.filter().asg, u) {
                 Ok(actions) => {
                     let target = actions.first().map(|a| a.node.0).unwrap_or(0);
-                    groups.entry((view, target)).or_default().push((*index, view, actions));
+                    groups.entry((view, target)).or_default().push((index, view, actions));
                 }
                 Err(reason) => {
                     // Mirror UFilter::run's resolution-failure report.
                     items.push(BatchItemReport {
-                        index: *index,
+                        index,
                         view: view.to_string(),
                         reports: vec![CheckReport {
                             trace: vec![(
@@ -878,126 +906,8 @@ impl ViewCatalog {
         }
         stats.probe_hits = cache.hits() - hits_before;
         stats.probe_misses = cache.misses() - misses_before;
-        items.sort_by_key(|i| i.index);
-        BatchReport { items, stats }
-    }
-
-    // ---- catalog-wide fan-out (ufilter-route) --------------------------
-
-    /// Check one update against **every view it could affect**: route it
-    /// through the relevance index, then run the unchanged per-view
-    /// pipeline on the candidates only. Per-candidate outcomes are
-    /// byte-identical (in wire form) to checking that view directly.
-    pub fn check_all(&self, update_text: &str, db: &mut Db) -> FanoutReport {
-        self.check_all_batch_refs(&[update_text], db, &mut ProbeCache::new())
-    }
-
-    /// [`check_all`](Self::check_all) over a stream of updates, sharing
-    /// parse results and one probe cache across the whole fan-out.
-    pub fn check_all_batch(&self, updates: &[String], db: &mut Db) -> FanoutReport {
-        let refs: Vec<&str> = updates.iter().map(String::as_str).collect();
-        self.check_all_batch_refs(&refs, db, &mut ProbeCache::new())
-    }
-
-    /// The borrowed, caller-cached fan-out entry point (the service layer
-    /// feeds worker partitions through this).
-    pub fn check_all_batch_refs(
-        &self,
-        updates: &[&str],
-        db: &mut Db,
-        cache: &mut ProbeCache,
-    ) -> FanoutReport {
-        self.fan_out(updates, db, cache, true)
-    }
-
-    /// The brute-force baseline: identical to
-    /// [`check_all_batch_refs`](Self::check_all_batch_refs) but with the
-    /// relevance index bypassed — every registered view is a candidate for
-    /// every update. This is both the benchmark baseline and the oracle
-    /// the differential soundness test compares routing against.
-    pub fn check_all_brute(
-        &self,
-        updates: &[&str],
-        db: &mut Db,
-        cache: &mut ProbeCache,
-    ) -> FanoutReport {
-        self.fan_out(updates, db, cache, false)
-    }
-
-    /// Shared fan-out engine. Parses each distinct update text once,
-    /// routes it (or takes all views when `use_index` is off), then pushes
-    /// every surviving (update, view) pair through the batch engine so
-    /// same-target candidates share probe scans. Items come back sorted by
-    /// `(update index, view name)` — the exact order of a per-update loop
-    /// over name-sorted candidate views.
-    fn fan_out(
-        &self,
-        updates: &[&str],
-        db: &mut Db,
-        cache: &mut ProbeCache,
-        use_index: bool,
-    ) -> FanoutReport {
-        let mut fanout = FanoutStats { views: self.views.len(), ..FanoutStats::default() };
-        let mut items: Vec<FanoutItem> = Vec::new();
-        let mut parsed: HashMap<&str, Result<UpdateStmt, String>> = HashMap::new();
-        // (update index, view) for every candidate pair; the parsed
-        // statement is cloned out of `parsed` only at stream build.
-        let mut work: Vec<(usize, String)> = Vec::new();
-        for (ui, text) in updates.iter().copied().enumerate() {
-            let entry = parsed.entry(text).or_insert_with(|| {
-                let span = obs::clock();
-                let r = parse_update(text).map_err(|e| e.to_string());
-                obs::stage_elapsed(Stage::Parse, span);
-                r
-            });
-            match entry {
-                Err(m) => {
-                    // Unparsable text fails identically for every view —
-                    // emit the same per-view malformed reports the
-                    // brute-force loop would.
-                    fanout.fanout_requests += 1;
-                    fanout.fallbacks += 1;
-                    fanout.candidates += self.views.len();
-                    for name in self.views.keys() {
-                        items.push(FanoutItem {
-                            update: ui,
-                            view: name.clone(),
-                            reports: vec![malformed(m.clone())],
-                        });
-                    }
-                }
-                Ok(u) => {
-                    let span = obs::clock();
-                    let route = if use_index {
-                        self.index.route(u)
-                    } else {
-                        Route {
-                            candidates: self.views.keys().cloned().collect(),
-                            views: self.views.len(),
-                            ..Route::default()
-                        }
-                    };
-                    obs::stage_elapsed(Stage::Route, span);
-                    obs::record_route_candidates(route.candidates.len());
-                    fanout.absorb(&route);
-                    for view in route.candidates {
-                        work.push((ui, view));
-                    }
-                }
-            }
-        }
-        let stream: Vec<(usize, &str, Result<UpdateStmt, String>)> = work
-            .iter()
-            .enumerate()
-            .map(|(seq, (ui, view))| (seq, view.as_str(), parsed[updates[*ui]].clone()))
-            .collect();
-        let report = self.run_batch(&stream, db, cache);
-        for item in report.items {
-            let (ui, view) = &work[item.index];
-            items.push(FanoutItem { update: *ui, view: view.clone(), reports: item.reports });
-        }
-        items.sort_by(|a, b| (a.update, a.view.as_str()).cmp(&(b.update, b.view.as_str())));
-        FanoutReport { items, fanout, batch: report.stats }
+        items.sort_by(|a, b| (a.index, &a.view).cmp(&(b.index, &b.view)));
+        (items, stats)
     }
 }
 

@@ -53,15 +53,15 @@ pub mod validate;
 pub mod wire;
 
 pub use catalog::{
-    BatchItemReport, BatchReport, BatchStats, CatalogError, FanoutItem, FanoutReport, FanoutStats,
-    ViewCatalog, ViewInfo,
+    BatchItemReport, BatchReport, BatchStats, CatalogError, FanoutStats, Target, ViewCatalog,
+    ViewInfo,
 };
 pub use datacheck::{DataCheckReport, Strategy};
 pub use independence::{IndependenceStats, Verdict};
 pub use obs::{Histogram, HistogramSnapshot, MetricsSnapshot, Stage, Verb};
 pub use outcome::{CheckOutcome, CheckReport, CheckStep, Condition, InvalidReason};
 pub use persist::{CatalogStore, LogRecord, PersistError, ReplayStats, VerifyReport};
-pub use pipeline::{CompileError, ProbeCache, UFilter, UFilterConfig};
+pub use pipeline::{parse_update_timed, CompileError, ProbeCache, UFilter, UFilterConfig};
 pub use rectangle::{apply_and_verify, blind_apply, verify_applied, RectangleVerdict};
 pub use star::{StarMarking, StarMode, StarVerdict};
 pub use target::ResolvedAction;

@@ -251,33 +251,31 @@ impl Stage {
 }
 
 /// Request-verb taxonomy for per-verb latency (labelled `verb="<name>"`).
-/// Pool-backed verbs are recorded by the pool entry points (so in-process
-/// callers like the bench harness hit the same histograms as TCP traffic);
-/// the rest are recorded by the server's request handler. `SHUTDOWN` is
-/// not recorded — it is terminal and fires once.
+/// The server's request handler records every verb. `SHUTDOWN` is not
+/// recorded — it is terminal and fires once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Verb {
-    /// `CHECK` (pool).
+    /// `CHECK`.
     Check,
-    /// `BATCH` (pool).
+    /// `BATCH`.
     Batch,
-    /// `CHECKALL` (pool).
+    /// `CHECKALL`.
     CheckAll,
-    /// `BATCHALL` (pool).
+    /// `BATCHALL`.
     BatchAll,
-    /// `CATALOG ADD` (server).
+    /// `CATALOG ADD`.
     CatalogAdd,
-    /// `CATALOG DROP` (server).
+    /// `CATALOG DROP`.
     CatalogDrop,
-    /// `CATALOG LIST` (server).
+    /// `CATALOG LIST`.
     CatalogList,
-    /// `CATALOG VERIFY` (server).
+    /// `CATALOG VERIFY`.
     CatalogVerify,
-    /// `STATS` (server).
+    /// `STATS`.
     Stats,
-    /// `METRICS` (server).
+    /// `METRICS`.
     Metrics,
-    /// `PING` (server).
+    /// `PING`.
     Ping,
 }
 

@@ -86,8 +86,8 @@ pub struct UFilterConfig {
 /// probed tables do not change: [`UFilter::run`] uses a fresh cache per
 /// statement (every action of a multi-action update is planned against the
 /// pre-update state, so intra-statement sharing is always safe), and
-/// [`crate::catalog::ViewCatalog::check_batch`] shares one cache across a
-/// whole check-only batch.
+/// [`crate::catalog::ViewCatalog::check`] shares one cache across a whole
+/// check-only batch.
 #[derive(Debug, Default)]
 pub struct ProbeCache {
     entries: std::collections::HashMap<String, ufilter_rdb::ResultSet>,
@@ -277,10 +277,7 @@ impl UFilter {
 
     /// Parse an update against this view.
     pub fn parse(&self, update_text: &str) -> Result<UpdateStmt, String> {
-        let span = obs::clock();
-        let out = parse_update(update_text).map_err(|e| e.to_string());
-        obs::stage_elapsed(Stage::Parse, span);
-        out
+        parse_update_timed(update_text)
     }
 
     /// Steps 1–2 only (no database access): validation + STAR.
@@ -685,6 +682,15 @@ impl UFilter {
             rs.rows.into_iter().map(|r| (rs.columns.clone(), r)).collect();
         Ok((Some(probe), rows, tab))
     }
+}
+
+/// Parse an update, recording the parse-stage span: the one parse step of
+/// [`UFilter::check`], the catalog's batch engine and the service pool.
+pub fn parse_update_timed(update_text: &str) -> Result<UpdateStmt, String> {
+    let span = obs::clock();
+    let out = parse_update(update_text).map_err(|e| e.to_string());
+    obs::stage_elapsed(Stage::Parse, span);
+    out
 }
 
 pub(crate) fn malformed(m: String) -> CheckReport {

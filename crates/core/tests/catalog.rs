@@ -2,7 +2,7 @@
 //! RESTRICT guard, and batch-vs-single-shot outcome equivalence.
 
 use ufilter_core::bookdemo;
-use ufilter_core::catalog::{CatalogError, ViewCatalog};
+use ufilter_core::catalog::{CatalogError, Target, ViewCatalog};
 use ufilter_core::CheckOutcome;
 use ufilter_rdb::DeletePolicy;
 use ufilter_tpch::{generate, stream, stream_views, Scale, StreamSpec};
@@ -233,7 +233,7 @@ fn execute_guarded_refreshes_the_schema_snapshot() {
 }
 
 /// The determinism guarantee: every name list the catalog returns —
-/// `list`, `dependents_of`, `relevant_views` — is ascending-name-sorted,
+/// `list`, `dependents_of`, `route_update` — is ascending-name-sorted,
 /// regardless of registration order.
 #[test]
 fn name_lists_are_sorted_regardless_of_registration_order() {
@@ -247,11 +247,11 @@ fn name_lists_are_sorted_regardless_of_registration_order() {
     assert_eq!(c.dependents_of("book"), expected);
     assert_eq!(c.dependents_of("REVIEW"), expected, "dependency lookup is case-insensitive");
     let u = ufilter_xquery::parse_update(bookdemo::U8).unwrap();
-    assert_eq!(c.relevant_views(&u), expected);
+    assert_eq!(c.route_update(&u).candidates, expected);
     // Dropping from the middle keeps the rest sorted.
     c.drop_view("beta").unwrap();
     assert_eq!(c.dependents_of("book"), ["alpha", "mid", "zeta"]);
-    assert_eq!(c.relevant_views(&u), ["alpha", "mid", "zeta"]);
+    assert_eq!(c.route_update(&u).candidates, ["alpha", "mid", "zeta"]);
 }
 
 /// `check_all` runs the identical pipeline on candidates: its wire
@@ -285,7 +285,7 @@ fn check_all_candidates_match_direct_checks() {
     }
 }
 
-/// `check_batch` must stay side-effect-free even under the hybrid strategy
+/// `check` must stay side-effect-free even under the hybrid strategy
 /// with the caller already holding a transaction (the one case where the
 /// strategy's execute-and-rollback trick cannot run in place).
 #[test]
@@ -368,9 +368,9 @@ fn stale_probe_cache_does_not_survive_schema_change() {
     let mut c = book_catalog();
     let mut db = bookdemo::book_db();
     let mut cache = ProbeCache::new();
-    let stream = vec![("books".to_string(), bookdemo::U8.to_string())];
+    let stream = [(Target::View("books"), bookdemo::U8)];
 
-    let first = c.check_batch_text_with_cache(&stream, &mut db, &mut cache);
+    let first = c.check(&stream, &mut db, &mut cache);
     assert!(first.items[0].reports[0].outcome.is_translatable(), "u8 accepted on real data");
 
     // Tear the world down: unguard, drop (FK leaves first), re-create empty.
@@ -383,7 +383,7 @@ fn stale_probe_cache_does_not_survive_schema_change() {
     }
     c.add("books", bookdemo::BOOK_VIEW).expect("recompiles against the new schema");
 
-    let second = c.check_batch_text_with_cache(&stream, &mut db, &mut cache);
+    let second = c.check(&stream, &mut db, &mut cache);
     let outcome = &second.items[0].reports[0].outcome;
     assert!(
         matches!(
@@ -393,7 +393,7 @@ fn stale_probe_cache_does_not_survive_schema_change() {
         "stale probe cache survived the schema change: {outcome:?}"
     );
     // And the outcome equals a fresh-cache check, not merely "different".
-    let fresh = c.check_batch_text_with_cache(&stream, &mut db, &mut ProbeCache::new());
+    let fresh = c.check(&stream, &mut db, &mut ProbeCache::new());
     assert_eq!(
         ufilter_core::wire::encode_outcome(outcome),
         ufilter_core::wire::encode_outcome(&fresh.items[0].reports[0].outcome)
@@ -415,11 +415,9 @@ fn aggregate_classification_bypasses_the_probe_cache() {
     .expect("aggregate view compiles");
     let mut db = bookdemo::book_db();
     let mut cache = ProbeCache::new();
-    let stream = vec![(
-        "agg".to_string(),
-        r#"FOR $b IN document("V.xml")/b UPDATE $b { DELETE $b }"#.to_string(),
-    )];
-    let report = c.check_batch_text_with_cache(&stream, &mut db, &mut cache);
+    let stream =
+        [(Target::View("agg"), r#"FOR $b IN document("V.xml")/b UPDATE $b { DELETE $b }"#)];
+    let report = c.check(&stream, &mut db, &mut cache);
     assert!(matches!(
         &report.items[0].reports[0].outcome,
         CheckOutcome::Untranslatable { step: ufilter_core::CheckStep::NonInjective, .. }

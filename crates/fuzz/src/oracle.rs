@@ -5,10 +5,12 @@
 //! **byte-identical** across all of them:
 //!
 //! 1. *direct* — [`UFilter::check`] (what the CLI does),
-//! 2. *batch*  — [`ViewCatalog::check_batch_text`] (amortized engine),
-//! 3. *fanout* — [`ViewCatalog::check_all`] (relevance-index routing;
-//!    views the index prunes must be exactly those the direct check
-//!    rejects as statically irrelevant),
+//! 2. *batch*  — [`ViewCatalog::check`] with every item naming its view
+//!    (the amortized engine),
+//! 3. *fanout* — [`ViewCatalog::check`] with routed items (the same
+//!    engine, with relevance-index routing expanding each item; views the
+//!    index prunes must be exactly those the direct check rejects as
+//!    statically irrelevant),
 //! 4. *tcp*    — a `CHECK` request against a live [`CheckServer`].
 //!
 //! Independently of the agreement check, accepted updates face the
@@ -21,8 +23,7 @@
 //! (determinism).
 //!
 //! [`UFilter::check`]: ufilter_core::UFilter::check
-//! [`ViewCatalog::check_batch_text`]: ufilter_core::ViewCatalog::check_batch_text
-//! [`ViewCatalog::check_all`]: ufilter_core::ViewCatalog::check_all
+//! [`ViewCatalog::check`]: ufilter_core::ViewCatalog::check
 //! [`CheckServer`]: ufilter_service::CheckServer
 //! [`apply_and_verify`]: ufilter_core::apply_and_verify
 
@@ -32,7 +33,9 @@ use std::net::TcpStream;
 use std::sync::Arc;
 
 use ufilter_core::wire::{self, encode_outcome};
-use ufilter_core::{apply_and_verify, CheckReport, RectangleVerdict, ViewCatalog};
+use ufilter_core::{
+    apply_and_verify, CheckReport, ProbeCache, RectangleVerdict, Target, ViewCatalog,
+};
 use ufilter_rdb::{Db, Row};
 use ufilter_service::proto::check_request;
 use ufilter_service::{CheckServer, ShardedCatalog};
@@ -220,14 +223,14 @@ pub fn run_raw(plan: &RawPlan, opts: &OracleOptions) -> Result<RunStats, Diverge
 
     // Batch surface: every (update, view) pair in one stream, so the
     // amortized engine sees realistic grouping.
-    let items: Vec<(String, String)> = plan
+    let items: Vec<(Target, &str)> = plan
         .updates
         .iter()
-        .flat_map(|u| plan.views.iter().map(move |(name, _)| (name.clone(), u.clone())))
+        .flat_map(|u| plan.views.iter().map(move |(name, _)| (Target::View(name), u.as_str())))
         .collect();
     let batch_lines: Vec<String> = {
         let mut batch_db = db.clone();
-        let report = catalog.check_batch_text(&items, &mut batch_db);
+        let report = catalog.check(&items, &mut batch_db, &mut ProbeCache::new());
         let mut lines = vec![String::new(); items.len()];
         for item in &report.items {
             lines[item.index] = report_line(&item.reports);
@@ -244,10 +247,11 @@ pub fn run_raw(plan: &RawPlan, opts: &OracleOptions) -> Result<RunStats, Diverge
 
     let mut stats = RunStats::default();
     for (ui, update) in plan.updates.iter().enumerate() {
-        // Fan-out surface: one check_all per update; map view -> line.
+        // Fan-out surface: one routed item per update; map view -> line.
         let fanout_lines: BTreeMap<String, String> = {
             let mut fdb = db.clone();
-            let report = catalog.check_all(update, &mut fdb);
+            let report =
+                catalog.check(&[(Target::Routed, update)], &mut fdb, &mut ProbeCache::new());
             report
                 .items
                 .iter()

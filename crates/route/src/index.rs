@@ -261,21 +261,12 @@ pub struct RelevanceIndex {
     /// Inverted relation index: relation → views reading it (level (a) —
     /// serves the catalog's dependency queries).
     rel_postings: HashMap<String, BTreeSet<String>>,
-    /// Whether level 3 (constant-predicate pruning) runs. On by default.
-    predicate_pruning: bool,
 }
 
 impl RelevanceIndex {
-    /// An empty index with every pruning level enabled.
+    /// An empty index.
     pub fn new() -> RelevanceIndex {
-        RelevanceIndex { predicate_pruning: true, ..RelevanceIndex::default() }
-    }
-
-    /// Disable or re-enable the optional level-3 constant-predicate
-    /// pruning (levels 1–2 always run).
-    pub fn with_predicate_pruning(mut self, enabled: bool) -> RelevanceIndex {
-        self.predicate_pruning = enabled;
-        self
+        RelevanceIndex::default()
     }
 
     /// Number of indexed views.
@@ -372,7 +363,7 @@ impl RelevanceIndex {
         for (name, sig) in survivors {
             if !sig.covers_paths(fp) {
                 route.pruned_paths += 1;
-            } else if self.predicate_pruning && !sig.covers_predicates(fp) {
+            } else if !sig.covers_predicates(fp) {
                 route.pruned_preds += 1;
             } else {
                 candidates.push(name.clone());
@@ -483,21 +474,6 @@ UPDATE $b { DELETE $b/title }"#,
         );
         assert_eq!(r.candidates, ["dear"], "price 35 contradicts cheap's < 20 domain");
         assert_eq!(r.pruned_preds, 1);
-    }
-
-    #[test]
-    fn predicate_pruning_can_be_disabled() {
-        let db = db();
-        let mut idx = RelevanceIndex::new().with_predicate_pruning(false);
-        idx.insert("cheap", &asg(&db, BOOKS_CHEAP));
-        idx.insert("dear", &asg(&db, BOOKS_DEAR));
-        let r = route(
-            &idx,
-            r#"FOR $b IN document("V.xml")/book
-WHERE $b/price/text() = 35.00
-UPDATE $b { DELETE $b/title }"#,
-        );
-        assert_eq!(r.candidates, ["cheap", "dear"]);
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //!    path must exist as edges; a `document(…)/tag` binding's first step
 //!    must be a root child; an inserted fragment's root tag must be a
 //!    child of the update's (statically known) context tag.
-//! 3. **Constant predicates** *(optional)* — each update predicate
+//! 3. **Constant predicates** — each update predicate
 //!    `path θ literal` is tested against the merged check-annotation
 //!    domains of every leaf the path could resolve to, mirroring Step 1's
 //!    `predicates_overlap_view` exactly. If no resolution target leaves the
@@ -56,8 +56,8 @@
 //! or `PredicateOutsideView` (see [`wire_outcome_is_irrelevant`]). The
 //! candidate set is therefore always a **superset** of the truly relevant
 //! views, and running the unchanged per-view pipeline on the candidates
-//! yields byte-identical outcomes to the brute-force all-views loop minus
-//! provably-irrelevant entries. Updates the extractor cannot classify
+//! yields byte-identical outcomes to the brute-force baseline (the same
+//! update checked against every view) minus provably-irrelevant entries. Updates the extractor cannot classify
 //! (unbound variables, correlation predicates — shapes the resolver
 //! rejects identically for every view) fall back to "all views are
 //! candidates" ([`Route::fallback`]), so no classification is ever

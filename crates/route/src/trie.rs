@@ -391,7 +391,6 @@ pub struct TrieIndex {
     rel_postings: HashMap<String, Postings>,
     pred: HashMap<u32, PredIndex>,
     entries: HashMap<u32, ViewEntry>,
-    predicate_pruning: bool,
     inserts: u64,
     removes: u64,
 }
@@ -403,7 +402,7 @@ impl Default for TrieIndex {
 }
 
 impl TrieIndex {
-    /// An empty index with every pruning level enabled.
+    /// An empty index.
     pub fn new() -> TrieIndex {
         let root = |parent| TrieNode { parent, live: true, ..TrieNode::default() };
         TrieIndex {
@@ -414,17 +413,9 @@ impl TrieIndex {
             rel_postings: HashMap::new(),
             pred: HashMap::new(),
             entries: HashMap::new(),
-            predicate_pruning: true,
             inserts: 0,
             removes: 0,
         }
-    }
-
-    /// Disable or re-enable the optional level-3 constant-predicate
-    /// pruning (levels 1–2 always run).
-    pub fn with_predicate_pruning(mut self, enabled: bool) -> TrieIndex {
-        self.predicate_pruning = enabled;
-        self
     }
 
     /// Number of indexed views.
@@ -646,20 +637,18 @@ impl TrieIndex {
         // Level 3: deduplicated predicate targets.
         let s2_len = s2.len();
         let mut s3 = s2;
-        if self.predicate_pruning {
-            for (tag, op, value) in &fp.predicates {
-                if s3.is_empty() {
-                    break;
-                }
-                // A tag no view indexes has no pred entry; the legacy
-                // index passes such predicates unconditionally (and level
-                // 1 already emptied the survivors whenever it matters).
-                let Some(pi) = self.tags.id(tag).and_then(|t| self.pred.get(&t)) else {
-                    continue;
-                };
-                let allowed = pi.allowed(*op, value);
-                intersect_with(&mut s3, &allowed);
+        for (tag, op, value) in &fp.predicates {
+            if s3.is_empty() {
+                break;
             }
+            // A tag no view indexes has no pred entry; the legacy index
+            // passes such predicates unconditionally (and level 1 already
+            // emptied the survivors whenever it matters).
+            let Some(pi) = self.tags.id(tag).and_then(|t| self.pred.get(&t)) else {
+                continue;
+            };
+            let allowed = pi.allowed(*op, value);
+            intersect_with(&mut s3, &allowed);
         }
         route.pruned_preds = s2_len - s3.len();
 
@@ -859,16 +848,6 @@ UPDATE $root { INSERT <book><bookid>1</bookid></book> }"#,
         let r = trie.route(&parse_update(PROBES[3]).unwrap());
         assert_eq!(r.candidates, ["dear"], "price 35 contradicts cheap's < 20 domain");
         assert_eq!(r.pruned_preds, 1);
-    }
-
-    #[test]
-    fn predicate_pruning_can_be_disabled() {
-        let db = db();
-        let mut trie = TrieIndex::new().with_predicate_pruning(false);
-        trie.insert("cheap", &asg(&db, BOOKS_CHEAP));
-        trie.insert("dear", &asg(&db, BOOKS_DEAR));
-        let r = trie.route(&parse_update(PROBES[3]).unwrap());
-        assert_eq!(r.candidates, ["cheap", "dear"]);
     }
 
     #[test]

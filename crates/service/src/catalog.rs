@@ -18,8 +18,8 @@ use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use ufilter_core::obs::{self, LockKind};
 use ufilter_core::{
-    BatchItemReport, BatchReport, BatchStats, CatalogError, CatalogStore, IndexStats, LogRecord,
-    ProbeCache, ReplayStats, Route, UFilterConfig, ViewCatalog, ViewInfo,
+    BatchItemReport, BatchStats, CatalogError, CatalogStore, IndexStats, LogRecord, ProbeCache,
+    ReplayStats, Route, Target, UFilterConfig, ViewCatalog, ViewInfo,
 };
 use ufilter_rdb::{DatabaseSchema, Db, ExecOutcome};
 use ufilter_xquery::UpdateStmt;
@@ -149,7 +149,8 @@ impl ShardedCatalog {
     }
 
     /// Route a parsed update through the relevance index: the candidate
-    /// views (ascending name order) plus per-level pruning counters.
+    /// views (ascending name order) plus per-level pruning counters (kept
+    /// for the `ledger/` benchmark, which calls it).
     pub fn route_update(&self, u: &UpdateStmt) -> Route {
         self.read().route_update(u)
     }
@@ -173,29 +174,26 @@ impl ShardedCatalog {
     }
 
     /// Check `(caller index, view, update text)` items in one
-    /// [`ViewCatalog::check_batch_refs`] call under the read lock, sharing
-    /// `cache` across the call. Reports come back in input order, labelled
-    /// with the caller's indices.
+    /// [`ViewCatalog::check`] call under the read lock, sharing `cache`
+    /// across the call (the call a [`CheckPool`](crate::CheckPool) worker
+    /// makes). Reports come back in input order, labelled with the caller's
+    /// indices.
     pub fn check_indexed(
         &self,
         items: &[(usize, &str, &str)],
         db: &mut Db,
         cache: &mut ProbeCache,
     ) -> (Vec<BatchItemReport>, BatchStats) {
-        let refs: Vec<(&str, &str)> = items.iter().map(|(_, view, text)| (*view, *text)).collect();
+        let named: Vec<_> =
+            items.iter().map(|(_, view, text)| (Target::View(view), *text)).collect();
         let span = obs::clock();
-        let report = self.read().check_batch_refs(&refs, db, cache);
+        let report = self.read().check(&named, db, cache);
         obs::lock_hold_elapsed(LockKind::Read, span);
         let mut out = report.items;
         for item in &mut out {
             item.index = items[item.index].0;
         }
         (out, report.stats)
-    }
-
-    /// [`ViewCatalog::check_batch_text`] under the read lock.
-    pub fn check_batch_text(&self, items: &[(String, String)], db: &mut Db) -> BatchReport {
-        self.read().check_batch_text(items, db)
     }
 }
 
@@ -268,8 +266,8 @@ mod tests {
             .iter()
             .map(|u| ("books".to_string(), u.to_string()))
             .collect();
-        let wire = |r: &BatchReport| -> Vec<String> {
-            r.items
+        let wire = |items: &[BatchItemReport]| -> Vec<String> {
+            items
                 .iter()
                 .flat_map(|i| {
                     i.reports.iter().map(|r| ufilter_core::wire::encode_outcome(&r.outcome))
@@ -277,8 +275,6 @@ mod tests {
                 .collect()
         };
         let a = single.check_batch_text(&stream, &mut bookdemo::book_db());
-        let b = wrapped.check_batch_text(&stream, &mut bookdemo::book_db());
-        assert_eq!(wire(&a), wire(&b));
 
         // check_indexed relabels reports with the caller's indices.
         let indexed: Vec<(usize, &str, &str)> =
@@ -287,7 +283,7 @@ mod tests {
             wrapped.check_indexed(&indexed, &mut bookdemo::book_db(), &mut ProbeCache::new());
         assert_eq!(items.iter().map(|i| i.index).collect::<Vec<_>>(), [7, 3, 9]);
         assert_eq!(stats.items, 3);
-        assert_eq!(wire(&BatchReport { items, stats }), wire(&a));
+        assert_eq!(wire(&items), wire(&a.items));
     }
 
     #[test]
@@ -347,9 +343,9 @@ mod tests {
     fn unknown_view_gets_per_item_report() {
         let cat = ShardedCatalog::new(bookdemo::book_schema());
         let mut db = bookdemo::book_db();
-        let report =
-            cat.check_batch_text(&[("ghost".to_string(), bookdemo::U8.to_string())], &mut db);
-        assert_eq!(report.items.len(), 1);
-        assert!(!report.items[0].reports[0].outcome.is_translatable());
+        let (items, _) =
+            cat.check_indexed(&[(0, "ghost", bookdemo::U8)], &mut db, &mut ProbeCache::new());
+        assert_eq!(items.len(), 1);
+        assert!(!items[0].reports[0].outcome.is_translatable());
     }
 }

@@ -20,10 +20,12 @@
 //!   `CATALOG ADD/DROP/LIST`, `STATS`, `SHUTDOWN`) whose `OK`/`ERR`
 //!   replies carry [`ufilter_core::wire`]-encoded outcomes —
 //!   byte-identical to what the single-threaded `check-batch` /
-//!   `check-all` CLI prints for the same stream. The `CHECKALL` and
+//!   `check-all` CLI prints for the same stream. All four check verbs go
+//!   through one pool call, [`CheckPool::check`]. The `CHECKALL` and
 //!   `BATCHALL` verbs take *no view name*: the catalog's relevance index
-//!   (`ufilter_route`, via [`ShardedCatalog::route_update`]) picks the
-//!   candidate views, and only those run the pipeline.
+//!   (`ufilter_route`, via
+//!   [`ViewCatalog::route_candidates`](ufilter_core::ViewCatalog::route_candidates))
+//!   picks the candidate views, and only those run the pipeline.
 //!
 //! The service is **check-only**: no wire request ever executes a
 //! translated update, so worker-private database clones and probe caches
@@ -32,14 +34,14 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use ufilter_core::bookdemo;
+//! use ufilter_core::{bookdemo, Target};
 //! use ufilter_service::{CheckPool, ShardedCatalog};
 //!
 //! let catalog = Arc::new(ShardedCatalog::new(bookdemo::book_schema()));
 //! catalog.add("books", bookdemo::BOOK_VIEW).unwrap();
 //! let pool = CheckPool::new(Arc::clone(&catalog), &bookdemo::book_db(), 2);
-//! let reports = pool.check_one("books", bookdemo::U8);
-//! assert!(reports[0].outcome.is_translatable());
+//! let report = pool.check(&[(Target::View("books"), bookdemo::U8)]);
+//! assert!(report.items[0].reports[0].outcome.is_translatable());
 //! ```
 
 #![warn(missing_docs)]
@@ -52,6 +54,6 @@ pub mod server;
 
 pub use catalog::{affinity_hash, ShardedCatalog};
 pub use metrics::{StatsFamily, STATS_FAMILIES};
-pub use pool::{CheckPool, PoolStatsSnapshot};
+pub use pool::CheckPool;
 pub use proto::Request;
 pub use server::{CheckServer, ShutdownHandle};

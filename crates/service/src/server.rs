@@ -27,7 +27,7 @@ use std::time::{Duration, Instant};
 
 use ufilter_core::obs::{self, Verb};
 use ufilter_core::wire::{encode_outcome, escape};
-use ufilter_core::CheckReport;
+use ufilter_core::{BatchReport, CheckReport, Target};
 use ufilter_rdb::Db;
 
 use crate::catalog::ShardedCatalog;
@@ -212,12 +212,16 @@ impl Connection {
     }
 
     /// Handle one parsed request, wrapped with observability: per-verb
-    /// latency recording (pool-backed verbs record themselves inside the
-    /// pool, so both TCP and in-process callers hit the same histograms)
-    /// and the `--slow-ms` structured slow-request log. Both cover reading
-    /// the request and rendering the reply, not writing it.
+    /// latency recording for every verb but the terminal `SHUTDOWN`, and
+    /// the `--slow-ms` structured slow-request log. Both cover reading the
+    /// request (a `BATCH`/`BATCHALL`'s item lines included) and rendering
+    /// the reply, not writing it.
     fn handle(&self, req: Request, reader: &mut impl BufRead, line: &str) -> Option<String> {
         let recorded = match &req {
+            Request::Check { .. } => Some(Verb::Check),
+            Request::Batch { .. } => Some(Verb::Batch),
+            Request::CheckAll { .. } => Some(Verb::CheckAll),
+            Request::BatchAll { .. } => Some(Verb::BatchAll),
             Request::CatalogAdd { .. } => Some(Verb::CatalogAdd),
             Request::CatalogDrop { .. } => Some(Verb::CatalogDrop),
             Request::CatalogList => Some(Verb::CatalogList),
@@ -225,9 +229,7 @@ impl Connection {
             Request::Stats => Some(Verb::Stats),
             Request::Metrics => Some(Verb::Metrics),
             Request::Ping => Some(Verb::Ping),
-            // CHECK/BATCH/CHECKALL/BATCHALL latency is recorded by the pool
-            // entry points; SHUTDOWN is terminal and fires once.
-            _ => None,
+            Request::Shutdown => None,
         };
         let wire_verb = req.wire_verb();
         // The slow log works even with metrics disabled, so it times with
@@ -273,66 +275,48 @@ impl Connection {
                 "OK bye\n".to_string()
             }
             Request::Check { view, update } => {
-                format!("OK {}\n", report_line(&self.pool.check_one(&view, &update)))
+                let report = self.pool.check(&[(Target::View(&view), &update)]);
+                format!("OK {}\n", report_line(&report.items[0].reports))
             }
             Request::Batch { count } => match read_items(reader, count, parse_batch_item)? {
                 Err(detail) => self.error(&detail),
                 Ok(items) => {
-                    let report = self.pool.check_stream(&items);
-                    let mut out = format!("OK {}\n", items.len());
-                    for item in &report.items {
-                        for r in &item.reports {
-                            let outcome = encode_outcome(&r.outcome);
-                            let _ = writeln!(out, "ITEM {} {} {outcome}", item.index, item.view);
-                        }
-                    }
+                    let named: Vec<_> =
+                        items.iter().map(|(v, t)| (Target::View(v), t.as_str())).collect();
+                    let report = self.pool.check(&named);
                     let s = report.stats;
-                    let _ = writeln!(
-                        out,
-                        "END items={} parse_hits={} probe_hits={} probe_misses={} groups={}",
+                    let end = format!(
+                        "items={} parse_hits={} probe_hits={} probe_misses={} groups={}",
                         s.items, s.parse_hits, s.probe_hits, s.probe_misses, s.target_groups
                     );
-                    out
+                    item_lines(items.len(), &report, true, &end)
                 }
             },
             Request::CheckAll { update } => {
-                let report = self.pool.check_all(&update);
-                let mut out = format!("OK {}\n", report.items.len());
-                for item in &report.items {
-                    for r in &item.reports {
-                        let _ = writeln!(out, "ITEM {} {}", item.view, encode_outcome(&r.outcome));
-                    }
-                }
+                let report = self.pool.check(&[(Target::Routed, &update)]);
                 let f = report.fanout;
-                let _ = writeln!(
-                    out,
-                    "END views={} candidates={} pruned={} fallbacks={}",
+                let end = format!(
+                    "views={} candidates={} pruned={} fallbacks={}",
                     f.views, f.candidates, f.pruned, f.fallbacks
                 );
-                out
+                item_lines(report.items.len(), &report, false, &end)
             }
             Request::BatchAll { count } => match read_items(reader, count, parse_batchall_item)? {
                 Err(detail) => self.error(&detail),
                 Ok(updates) => {
-                    let report = self.pool.check_all_batch(&updates);
-                    let mut out = format!("OK {}\n", updates.len());
-                    for item in &report.items {
-                        for r in &item.reports {
-                            let outcome = encode_outcome(&r.outcome);
-                            let _ = writeln!(out, "ITEM {} {} {outcome}", item.update, item.view);
-                        }
-                    }
+                    let routed: Vec<_> =
+                        updates.iter().map(|u| (Target::Routed, u.as_str())).collect();
+                    let report = self.pool.check(&routed);
                     let f = report.fanout;
-                    let _ = writeln!(
-                        out,
-                        "END items={} fanout_requests={} candidates={} pruned={} fallbacks={}",
+                    let end = format!(
+                        "items={} fanout_requests={} candidates={} pruned={} fallbacks={}",
                         updates.len(),
                         f.fanout_requests,
                         f.candidates,
                         f.pruned,
                         f.fallbacks
                     );
-                    out
+                    item_lines(updates.len(), &report, true, &end)
                 }
             },
             Request::CatalogAdd { name, view_text } => match self.catalog.add(&name, &view_text) {
@@ -413,7 +397,7 @@ impl Connection {
     /// Persistence counters are zero without `--data-dir` (the keys are
     /// still present — the reply format does not depend on configuration).
     fn stats_values(&self) -> [u64; STATS_FAMILIES.len()] {
-        let p = self.pool.stats();
+        let (jobs, checked, fanout) = self.pool.stats();
         let (appends, syncs, compactions, replayed) =
             self.catalog.store().map_or((0, 0, 0, 0), |store| {
                 let s = store.lock().expect("catalog store lock").stats();
@@ -432,19 +416,19 @@ impl Connection {
             load(&self.stats.connections),
             load(&self.stats.requests),
             load(&self.stats.errors),
-            p.jobs as u64,
-            p.items as u64,
-            p.probe_hits as u64,
-            p.probe_misses as u64,
+            jobs as u64,
+            checked.items as u64,
+            checked.probe_hits as u64,
+            checked.probe_misses as u64,
             compile_hits as u64,
             appends,
             syncs,
             compactions,
             replayed,
-            p.fanout_requests as u64,
-            p.fanout_candidates as u64,
-            p.fanout_pruned as u64,
-            p.fanout_fallbacks as u64,
+            fanout.fanout_requests as u64,
+            fanout.candidates as u64,
+            fanout.pruned as u64,
+            fanout.fallbacks as u64,
             trie.nodes as u64,
             trie.postings as u64,
             trie.bytes as u64,
@@ -495,6 +479,25 @@ fn read_items<T>(
         }
     }
     Some(items)
+}
+
+/// The reply to a multi-item check verb: `OK <n>`, one `ITEM` line per
+/// action report (`ITEM <index> <view> <outcome>` when `indexed`, else
+/// `ITEM <view> <outcome>`), then `END <end>`.
+fn item_lines(n: usize, report: &BatchReport, indexed: bool, end: &str) -> String {
+    let mut out = format!("OK {n}\n");
+    for item in &report.items {
+        for r in &item.reports {
+            if indexed {
+                let _ = write!(out, "ITEM {} ", item.index);
+            } else {
+                out.push_str("ITEM ");
+            }
+            let _ = writeln!(out, "{} {}", item.view, encode_outcome(&r.outcome));
+        }
+    }
+    let _ = writeln!(out, "END {end}");
+    out
 }
 
 /// Tab-join the wire outcomes of one update's action reports (the `CHECK`

@@ -16,8 +16,8 @@ use std::sync::mpsc::channel;
 use std::sync::Arc;
 use std::time::Duration;
 
-use ufilter_core::bookdemo;
 use ufilter_core::wire::encode_outcome;
+use ufilter_core::{bookdemo, BatchItemReport, ProbeCache, Target};
 use ufilter_rdb::Db;
 use ufilter_service::{CheckPool, ShardedCatalog};
 
@@ -29,6 +29,18 @@ const READS: usize = 20;
 const STABLE: [&str; 2] = ["fixed_a", "fixed_b"];
 /// How long the watchdog waits for any one thread's result.
 const WATCHDOG: Duration = Duration::from_secs(60);
+
+/// `(view, update)` items checked in one `check_indexed` call with a fresh
+/// probe cache.
+fn check_stream(
+    catalog: &ShardedCatalog,
+    items: &[(&str, &str)],
+    db: &mut Db,
+) -> Vec<BatchItemReport> {
+    let indexed: Vec<(usize, &str, &str)> =
+        items.iter().enumerate().map(|(i, (v, t))| (i, *v, *t)).collect();
+    catalog.check_indexed(&indexed, db, &mut ProbeCache::new()).0
+}
 
 /// Run one thread's deterministic schedule, returning a flat log of
 /// observable outcomes (one string per observation).
@@ -48,15 +60,10 @@ fn run_schedule(t: usize, catalog: &ShardedCatalog, db: &mut Db) -> Vec<String> 
         note("add_dup", format!("{:?}", catalog.add(&va, bookdemo::BOOK_VIEW).is_err()));
 
         // Single check + a mixed batch across both of this thread's views.
-        let single = catalog.check_batch_text(&[(va.clone(), bookdemo::U8.to_string())], db);
-        note("check", encode_outcome(&single.items[0].reports[0].outcome));
-        let stream: Vec<(String, String)> = vec![
-            (va.clone(), bookdemo::U10.to_string()),
-            (vb.clone(), bookdemo::U13.to_string()),
-            (va.clone(), bookdemo::U8.to_string()),
-        ];
-        let batch = catalog.check_batch_text(&stream, db);
-        for item in &batch.items {
+        let single = check_stream(catalog, &[(&va, bookdemo::U8)], db);
+        note("check", encode_outcome(&single[0].reports[0].outcome));
+        let stream = [(va.as_str(), bookdemo::U10), (&vb, bookdemo::U13), (&va, bookdemo::U8)];
+        for item in &check_stream(catalog, &stream, db) {
             for r in &item.reports {
                 note("batch", format!("{} {}", item.index, encode_outcome(&r.outcome)));
             }
@@ -90,19 +97,18 @@ fn run_schedule(t: usize, catalog: &ShardedCatalog, db: &mut Db) -> Vec<String> 
 fn pool_reads(pool: &CheckPool) -> Vec<String> {
     let mut log = Vec::new();
     for u in [bookdemo::U8, bookdemo::U10] {
-        for item in pool.check_all(u).items.iter().filter(|i| STABLE.contains(&i.view.as_str())) {
+        let report = pool.check(&[(Target::Routed, u)]);
+        for item in report.items.iter().filter(|i| STABLE.contains(&i.view.as_str())) {
             for r in &item.reports {
                 log.push(format!("all {} {}", item.view, encode_outcome(&r.outcome)));
             }
         }
     }
-    let stream: Vec<(String, String)> = STABLE
+    let stream: Vec<(Target, &str)> = STABLE
         .iter()
-        .flat_map(|v| {
-            [bookdemo::U8, bookdemo::U10, bookdemo::U13].map(|u| (v.to_string(), u.into()))
-        })
+        .flat_map(|v| [bookdemo::U8, bookdemo::U10, bookdemo::U13].map(|u| (Target::View(v), u)))
         .collect();
-    for item in pool.check_stream(&stream).items {
+    for item in pool.check(&stream).items {
         for r in &item.reports {
             log.push(format!("batch {} {} {}", item.index, item.view, encode_outcome(&r.outcome)));
         }
@@ -170,19 +176,11 @@ fn concurrent_checks_against_fixed_catalog_are_stable() {
     let catalog = Arc::new(ShardedCatalog::new(bookdemo::book_schema()));
     catalog.add("books", bookdemo::BOOK_VIEW).unwrap();
     let base = bookdemo::book_db();
-    let expected: Vec<String> = {
-        let mut db = base.clone();
-        let stream: Vec<(String, String)> = [bookdemo::U8, bookdemo::U10, bookdemo::U13]
-            .iter()
-            .map(|u| ("books".to_string(), u.to_string()))
-            .collect();
-        catalog
-            .check_batch_text(&stream, &mut db)
-            .items
-            .iter()
-            .flat_map(|i| i.reports.iter().map(|r| encode_outcome(&r.outcome)))
-            .collect()
-    };
+    let stream = [bookdemo::U8, bookdemo::U10, bookdemo::U13].map(|u| ("books", u));
+    let expected: Vec<String> = check_stream(&catalog, &stream, &mut base.clone())
+        .iter()
+        .flat_map(|i| i.reports.iter().map(|r| encode_outcome(&r.outcome)))
+        .collect();
     let handles: Vec<_> = (0..6)
         .map(|_| {
             let catalog = Arc::clone(&catalog);
@@ -190,14 +188,7 @@ fn concurrent_checks_against_fixed_catalog_are_stable() {
             let expected = expected.clone();
             std::thread::spawn(move || {
                 for _ in 0..8 {
-                    let stream: Vec<(String, String)> =
-                        [bookdemo::U8, bookdemo::U10, bookdemo::U13]
-                            .iter()
-                            .map(|u| ("books".to_string(), u.to_string()))
-                            .collect();
-                    let got: Vec<String> = catalog
-                        .check_batch_text(&stream, &mut db)
-                        .items
+                    let got: Vec<String> = check_stream(&catalog, &stream, &mut db)
                         .iter()
                         .flat_map(|i| i.reports.iter().map(|r| encode_outcome(&r.outcome)))
                         .collect();

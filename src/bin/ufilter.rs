@@ -21,9 +21,9 @@ use std::net::TcpStream;
 use std::process::ExitCode;
 use std::sync::{Arc, Mutex};
 
-use u_filter::core::catalog::{is_schema_ddl, ViewCatalog};
+use u_filter::core::catalog::{is_schema_ddl, Target, ViewCatalog};
 use u_filter::core::persist::CatalogStore;
-use u_filter::core::wire;
+use u_filter::core::{wire, ProbeCache};
 use u_filter::service::{proto, CheckServer, ShardedCatalog};
 use u_filter::xquery::materialize;
 use u_filter::{CheckOutcome, StarMode, Strategy, UFilter, UFilterConfig};
@@ -313,7 +313,16 @@ fn parse_batch_file(path: &str, text: &str) -> Result<Vec<(String, String)>, Str
     for (lineno, line) in text.lines().enumerate() {
         let trimmed = line.trim();
         if let Some(rest) = trimmed.strip_prefix("-- view:") {
-            stream.push((rest.trim().to_string(), String::new()));
+            // A served BATCH item line cannot carry such a name, so reject
+            // it here for both `check-batch` and `client batch`.
+            let name = rest.trim();
+            if name.is_empty() || name.contains(char::is_whitespace) {
+                return Err(format!(
+                    "{path}:{}: '-- view:' header needs one view name without whitespace",
+                    lineno + 1
+                ));
+            }
+            stream.push((name.to_string(), String::new()));
         } else if trimmed.starts_with("--") {
             // Comment line; never part of an update's text.
         } else if let Some((_, update)) = stream.last_mut() {
@@ -364,6 +373,42 @@ fn parse_uall_file(path: &str, text: &str) -> Result<Vec<String>, String> {
         return Err(format!("{path}: '-- update' block {} is empty", i + 1));
     }
     Ok(updates)
+}
+
+/// Read one `OK <n>` / `ITEM …` / `END …` reply and print it in the line
+/// shape the in-process command prints: `[<i>] <view>: <outcome>` per
+/// `ITEM <index> <view> <outcome>` when `indexed` (`check-batch`), else
+/// `<view>: <outcome>` (`check-all`), then the `END` counters as a `--- `
+/// trailer. Returns whether the reply was OK.
+fn print_item_reply(
+    recv: &mut impl FnMut() -> Result<String, String>,
+    indexed: bool,
+) -> Result<bool, String> {
+    let head = recv()?;
+    if !head.starts_with("OK ") {
+        println!("{head}");
+        return Ok(false);
+    }
+    loop {
+        let reply = recv()?;
+        if let Some(rest) = reply.strip_prefix("ITEM ") {
+            let (index, rest) =
+                if indexed { rest.split_once(' ').unwrap_or((rest, "")) } else { ("", rest) };
+            let (view, outcome) = rest.split_once(' ').unwrap_or((rest, ""));
+            if indexed {
+                let human = index.parse::<usize>().map(|i| i + 1).unwrap_or(0);
+                println!("[{human}] {view}: {outcome}");
+            } else {
+                println!("{view}: {outcome}");
+            }
+        } else if let Some(stats) = reply.strip_prefix("END ") {
+            println!("--- {stats}");
+            return Ok(true);
+        } else {
+            println!("{reply}");
+            return Ok(false);
+        }
+    }
 }
 
 /// Drive one scripted session against a running `ufilter serve`.
@@ -482,62 +527,14 @@ fn run_client(script: &str, stream: TcpStream) -> Result<bool, String> {
                 let mut request = vec![format!("BATCH {}", items.len())];
                 request.extend(items.iter().map(|(view, update)| proto::batch_item(view, update)));
                 send(&request.join("\n"))?;
-                let head = recv()?;
-                if !head.starts_with("OK ") {
-                    all_ok = false;
-                    println!("{head}");
-                    continue;
-                }
-                loop {
-                    let reply = recv()?;
-                    if let Some(rest) = reply.strip_prefix("ITEM ") {
-                        // ITEM <index> <view> <wire-outcome> — print the
-                        // exact line shape `check-batch` uses.
-                        let mut f = rest.splitn(3, ' ');
-                        let (i, view, outcome) = (
-                            f.next().unwrap_or_default(),
-                            f.next().unwrap_or_default(),
-                            f.next().unwrap_or_default(),
-                        );
-                        let human = i.parse::<usize>().map(|i| i + 1).unwrap_or(0);
-                        println!("[{human}] {view}: {outcome}");
-                    } else if let Some(stats) = reply.strip_prefix("END ") {
-                        println!("--- {stats}");
-                        break;
-                    } else {
-                        all_ok = false;
-                        println!("{reply}");
-                        break;
-                    }
-                }
+                all_ok &= print_item_reply(&mut recv, true)?;
             }
             "checkall" => {
                 arity(1)?;
                 let update = std::fs::read_to_string(rest[0])
                     .map_err(|e| err_here(format!("{}: {e}", rest[0])))?;
                 send(&proto::checkall_request(&update))?;
-                let head = recv()?;
-                if !head.starts_with("OK ") {
-                    all_ok = false;
-                    println!("{head}");
-                    continue;
-                }
-                loop {
-                    let reply = recv()?;
-                    if let Some(rest) = reply.strip_prefix("ITEM ") {
-                        // ITEM <view> <wire-outcome> — print the exact line
-                        // shape `check-all` uses.
-                        let (view, outcome) = rest.split_once(' ').unwrap_or((rest, ""));
-                        println!("{view}: {outcome}");
-                    } else if let Some(stats) = reply.strip_prefix("END ") {
-                        println!("--- {stats}");
-                        break;
-                    } else {
-                        all_ok = false;
-                        println!("{reply}");
-                        break;
-                    }
-                }
+                all_ok &= print_item_reply(&mut recv, false)?;
             }
             "batchall" => {
                 arity(1)?;
@@ -547,32 +544,7 @@ fn run_client(script: &str, stream: TcpStream) -> Result<bool, String> {
                 let mut request = vec![format!("BATCHALL {}", updates.len())];
                 request.extend(updates.iter().map(|update| proto::batchall_item(update)));
                 send(&request.join("\n"))?;
-                let head = recv()?;
-                if !head.starts_with("OK ") {
-                    all_ok = false;
-                    println!("{head}");
-                    continue;
-                }
-                loop {
-                    let reply = recv()?;
-                    if let Some(rest) = reply.strip_prefix("ITEM ") {
-                        let mut f = rest.splitn(3, ' ');
-                        let (i, view, outcome) = (
-                            f.next().unwrap_or_default(),
-                            f.next().unwrap_or_default(),
-                            f.next().unwrap_or_default(),
-                        );
-                        let human = i.parse::<usize>().map(|i| i + 1).unwrap_or(0);
-                        println!("[{human}] {view}: {outcome}");
-                    } else if let Some(stats) = reply.strip_prefix("END ") {
-                        println!("--- {stats}");
-                        break;
-                    } else {
-                        all_ok = false;
-                        println!("{reply}");
-                        break;
-                    }
-                }
+                all_ok &= print_item_reply(&mut recv, true)?;
             }
             "verify" => {
                 arity(0)?;
@@ -765,7 +737,8 @@ fn run() -> Result<bool, String> {
             args.at_most(1)?;
             let text = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
             let stream = parse_batch_file(file, &text)?;
-            let batch = catalog.check_batch_text(&stream, &mut db);
+            let named: Vec<_> = stream.iter().map(|(v, t)| (Target::View(v), t.as_str())).collect();
+            let batch = catalog.check(&named, &mut db, &mut ProbeCache::new());
             let mut all_ok = true;
             // Outcomes print in the stable wire form (core::wire) — the
             // exact bytes a `ufilter client batch` session prints for the
@@ -798,7 +771,8 @@ fn run() -> Result<bool, String> {
             let file = args.operand(0, "check-all needs an update file")?;
             args.at_most(1)?;
             let update = std::fs::read_to_string(file).map_err(|e| format!("{file}: {e}"))?;
-            let report = catalog.check_all(&update, &mut db);
+            let report =
+                catalog.check(&[(Target::Routed, &update)], &mut db, &mut ProbeCache::new());
             let mut all_ok = true;
             // Same `<view>: <wire-outcome>` shape a `ufilter client
             // checkall` session prints, so runs diff cleanly.

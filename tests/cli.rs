@@ -152,6 +152,32 @@ fn check_batch_ignores_comment_lines() {
     assert!(stdout.contains("1 update(s)"), "{stdout}");
 }
 
+/// A `-- view:` header whose name is empty or holds whitespace names no
+/// view a served `BATCH` item line could carry, so it is a `path:line`
+/// error with exit 2 and no item is checked (`client batch` agrees:
+/// `tests/service_cli.rs`).
+#[test]
+fn check_batch_rejects_a_header_without_one_view_name() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let u8_text = std::fs::read_to_string(root.join("fixtures/u8.xq")).unwrap();
+    for (i, header) in ["-- view:", "-- view: my books"].into_iter().enumerate() {
+        let rel = format!("target/cli_bad_header{i}.ubatch");
+        std::fs::write(root.join(&rel), format!("{header}\n{u8_text}-- view: books\n{u8_text}"))
+            .unwrap();
+        let (stdout, stderr, code) = ufilter(&[
+            "--schema",
+            "fixtures/book.sql",
+            "--catalog",
+            "fixtures/views.cat",
+            "check-batch",
+            &rel,
+        ]);
+        assert_eq!(code, Some(2), "{header:?}: {stdout}{stderr}");
+        assert!(stderr.contains(&format!("{rel}:1: ")), "{header:?}: {stderr}");
+        assert!(stdout.is_empty(), "{header:?}: {stdout}");
+    }
+}
+
 /// A typo'd --catalog path must be an error, not an empty catalog that
 /// silently disables the DDL guard or reports every view as unknown.
 #[test]

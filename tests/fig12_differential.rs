@@ -11,14 +11,18 @@
 //! 3. produce **byte-identical wire-encoded outcomes** between the
 //!    `check-batch` engine (`ViewCatalog::check_batch_text`) and the served
 //!    `BATCH` path (a real `CheckServer` over TCP).
+//!
+//! The served `BATCHALL` path is pinned the same way, against the engine
+//! with routed items over the 26-view book fixture catalog.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
+use std::path::Path;
 use std::sync::Arc;
 
-use u_filter::core::catalog::ViewCatalog;
+use u_filter::core::catalog::{Target, ViewCatalog};
 use u_filter::core::wire::{encode_outcome, encode_outcomes};
-use u_filter::core::{CheckOutcome, CheckStep};
+use u_filter::core::{bookdemo, CheckOutcome, CheckStep, ProbeCache};
 use u_filter::service::{proto, CheckServer, ShardedCatalog};
 use u_filter::usecases::{
     independence_updates, subset_data_sql, subset_schema_sql, subset_updates, subset_views,
@@ -216,6 +220,91 @@ fn served_batch_is_byte_identical_to_check_batch() {
         got.push(line);
     }
     assert_eq!(got, expected, "served BATCH diverged from check-batch");
+
+    c.send("SHUTDOWN");
+    let _ = c.recv();
+    handle.join().expect("server thread");
+}
+
+/// A served `BATCHALL` is byte-identical to the in-process engine with
+/// routed items: every `ITEM` line and the `END` counters. The stream mixes
+/// routable updates, a repeat, an unparsable text and a correlated update
+/// routing cannot classify (the last two fall back to every view).
+#[test]
+fn served_batchall_is_byte_identical_to_routed_check() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let manifest = std::fs::read_to_string(root.join("fixtures/views_many.cat")).unwrap();
+    let views: Vec<(&str, String)> = manifest
+        .lines()
+        .filter(|l| !l.starts_with('#') && !l.trim().is_empty())
+        .map(|l| {
+            let (name, file) = l.split_once('=').expect("name=viewfile");
+            (name, std::fs::read_to_string(root.join(file)).unwrap())
+        })
+        .collect();
+    assert_eq!(views.len(), 26);
+    let correlated = r#"FOR $a IN document("V.xml")/book, $b IN document("V.xml")/book
+WHERE $a/bookid = $b/bookid
+UPDATE $a { DELETE $a/review }"#;
+    let updates = [
+        bookdemo::U8,
+        bookdemo::U10,
+        "this is not an update",
+        bookdemo::U13,
+        correlated,
+        bookdemo::U8,
+        bookdemo::U5,
+    ];
+    let db = bookdemo::book_db();
+
+    // Library side: the engine with every update routed.
+    let mut catalog = ViewCatalog::new(db.schema().clone());
+    for (name, text) in &views {
+        catalog.add(name, text).unwrap();
+    }
+    let routed: Vec<(Target, &str)> = updates.iter().map(|u| (Target::Routed, *u)).collect();
+    let lib = catalog.check(&routed, &mut db.clone(), &mut ProbeCache::new());
+    let mut expected: Vec<String> = Vec::new();
+    for item in &lib.items {
+        for r in &item.reports {
+            expected.push(format!(
+                "ITEM {} {} {}",
+                item.index,
+                item.view,
+                encode_outcome(&r.outcome)
+            ));
+        }
+    }
+    let f = lib.fanout;
+    expected.push(format!(
+        "END items={} fanout_requests={} candidates={} pruned={} fallbacks={}",
+        updates.len(),
+        f.fanout_requests,
+        f.candidates,
+        f.pruned,
+        f.fallbacks
+    ));
+    assert_eq!(expected.len(), 115, "114 ITEM lines and the END line");
+    assert_eq!(expected[114], "END items=7 fanout_requests=7 candidates=114 pruned=68 fallbacks=2");
+
+    // Served side: a real CheckServer, 2 workers, same views and data.
+    let sharded = Arc::new(ShardedCatalog::new(db.schema().clone()));
+    for (name, text) in &views {
+        sharded.add(name, text).unwrap();
+    }
+    let server = CheckServer::bind("127.0.0.1:0", sharded, &db, 2).expect("binds");
+    let addr = server.local_addr();
+    let handle = std::thread::spawn(move || server.run().expect("serves"));
+    let mut c = Client::connect(addr);
+    let mut request = vec![format!("BATCHALL {}", updates.len())];
+    request.extend(updates.iter().map(|u| proto::batchall_item(u)));
+    c.send(&request.join("\n"));
+    assert_eq!(c.recv(), format!("OK {}", updates.len()));
+    let mut got: Vec<String> = Vec::new();
+    while !got.last().is_some_and(|l| l.starts_with("END ")) {
+        got.push(c.recv());
+    }
+    assert_eq!(got, expected, "served BATCHALL diverged from the routed engine");
 
     c.send("SHUTDOWN");
     let _ = c.recv();

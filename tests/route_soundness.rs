@@ -3,19 +3,20 @@
 //! The contract under test, over randomized TPC-H update streams and the
 //! paper's book updates:
 //!
-//! 1. **Superset**: `relevant_views(u) ⊇ {v : brute-force check(v, u) is
-//!    not statically irrelevant}` — the index never prunes a view the full
-//!    pipeline would classify as anything but `Invalid` with an
-//!    unknown-target / hierarchy-violation / predicate-outside-view
+//! 1. **Superset**: `route_update(u).candidates ⊇ {v : brute-force
+//!    check(v, u) is not statically irrelevant}` — the index never prunes
+//!    a view the full pipeline would classify as anything but `Invalid`
+//!    with an unknown-target / hierarchy-violation / predicate-outside-view
 //!    reason.
-//! 2. **Identity on candidates**: for every candidate view, `check_all`'s
-//!    wire-encoded outcomes are byte-identical to the brute-force per-view
-//!    loop's outcomes for that view.
+//! 2. **Identity on candidates**: for every candidate view, a routed
+//!    item's wire-encoded outcomes are byte-identical to the brute-force
+//!    baseline's outcomes for that view. The baseline is the same update
+//!    sent as a request naming every view.
 //! 3. **Irrelevance of the pruned**: every pruned view, brute-force
 //!    checked, really does come back statically irrelevant.
 
 use u_filter::asg::build_view_asg;
-use u_filter::core::catalog::{FanoutReport, ViewCatalog};
+use u_filter::core::catalog::{BatchReport, Target, ViewCatalog};
 use u_filter::core::wire::encode_outcome;
 use u_filter::core::{bookdemo, wire_outcome_is_irrelevant, ProbeCache};
 use u_filter::route::{RelevanceIndex, TrieIndex};
@@ -25,29 +26,42 @@ use u_filter::tpch::{
 use u_filter::xquery::{parse_update, parse_view_query};
 use ufilter_rdb::{Db, DeletePolicy};
 
-/// Wire lines of one fan-out report, keyed by (update, view).
-fn wire_map(report: &FanoutReport) -> Vec<((usize, String), Vec<String>)> {
+/// Wire lines of one report, keyed by (item index, view).
+fn wire_map(report: &BatchReport) -> Vec<((usize, String), Vec<String>)> {
     report
         .items
         .iter()
         .map(|i| {
             (
-                (i.update, i.view.clone()),
+                (i.index, i.view.clone()),
                 i.reports.iter().map(|r| encode_outcome(&r.outcome)).collect(),
             )
         })
         .collect()
 }
 
+/// Each update as a routed item.
+fn routed(updates: &[String]) -> Vec<(Target<'_>, &str)> {
+    updates.iter().map(|u| (Target::Routed, u.as_str())).collect()
+}
+
 /// Hold the routing contract for every update in `updates` against
 /// `catalog`: superset, identity on candidates, irrelevance of the pruned.
 fn assert_sound(catalog: &ViewCatalog, db: &Db, updates: &[String]) {
-    let refs: Vec<&str> = updates.iter().map(String::as_str).collect();
     let mut db_index = db.clone();
     let mut db_brute = db.clone();
-    let indexed = catalog.check_all_batch_refs(&refs, &mut db_index, &mut ProbeCache::new());
-    let brute = catalog.check_all_brute(&refs, &mut db_brute, &mut ProbeCache::new());
-    assert_eq!(brute.fanout.pruned, 0);
+    let indexed = catalog.check(&routed(updates), &mut db_index, &mut ProbeCache::new());
+    // The brute-force baseline: one request naming every view for every
+    // update, relabelled with the update's index.
+    let names: Vec<String> = catalog.list().into_iter().map(|v| v.name).collect();
+    let every_view: Vec<(Target, &str)> = updates
+        .iter()
+        .flat_map(|u| names.iter().map(move |v| (Target::View(v), u.as_str())))
+        .collect();
+    let mut brute = catalog.check(&every_view, &mut db_brute, &mut ProbeCache::new());
+    for item in &mut brute.items {
+        item.index /= names.len();
+    }
     assert_eq!(brute.items.len(), updates.len() * catalog.len());
 
     let indexed_map = wire_map(&indexed);
@@ -75,13 +89,13 @@ fn assert_sound(catalog: &ViewCatalog, db: &Db, updates: &[String]) {
             }
         }
     }
-    // relevant_views agrees with the fan-out's candidate set, name-sorted.
+    // route_update agrees with the fan-out's candidate set, name-sorted.
     for (ui, text) in updates.iter().enumerate() {
         if let Ok(u) = ufilter_xquery::parse_update(text) {
-            let relevant = catalog.relevant_views(&u);
+            let relevant = catalog.route_update(&u).candidates;
             let mut sorted = relevant.clone();
             sorted.sort();
-            assert_eq!(relevant, sorted, "relevant_views not name-sorted");
+            assert_eq!(relevant, sorted, "route_update candidates not name-sorted");
             let fanned: Vec<&String> =
                 indexed_map.iter().filter(|((i, _), _)| *i == ui).map(|((_, v), _)| v).collect();
             assert_eq!(relevant.iter().collect::<Vec<_>>(), fanned);
@@ -118,9 +132,8 @@ fn fanout_actually_prunes_partitioned_catalogs() {
         catalog.add(&name, &text).expect("generated view compiles");
     }
     let updates = fanout_stream(16, scale, 9);
-    let refs: Vec<&str> = updates.iter().map(String::as_str).collect();
     let mut db = db.clone();
-    let report = catalog.check_all_batch_refs(&refs, &mut db, &mut ProbeCache::new());
+    let report = catalog.check(&routed(&updates), &mut db, &mut ProbeCache::new());
     let f = report.fanout;
     assert_eq!(f.fanout_requests, 16);
     assert_eq!(f.fallbacks, 0, "fan-out updates are all classifiable");
@@ -195,7 +208,7 @@ UPDATE $root { INSERT <book><title>T</title><price>9.99</price></book> }"#
     // new untranslatable non-injective wire code — i.e. routing delivered
     // the update to the view whose conservative classification must see it.
     let u = ufilter_xquery::parse_update(&book_delete).unwrap();
-    let relevant = catalog.relevant_views(&u);
+    let relevant = catalog.route_update(&u).candidates;
     assert!(relevant.contains(&"books".to_string()), "{relevant:?}");
     assert!(relevant.contains(&"dedup".to_string()), "{relevant:?}");
     let mut db2 = db.clone();

@@ -54,8 +54,8 @@ impl Serve {
         Serve { child, addr }
     }
 
-    /// Run a client script against this server; returns (stdout, exit code).
-    fn client(&self, script: &str) -> (String, Option<i32>) {
+    /// Run a client script against this server; returns its whole output.
+    fn client_output(&self, script: &str) -> std::process::Output {
         use std::io::Write;
         let mut child = bin()
             .args(["client", &self.addr, "-"])
@@ -65,7 +65,12 @@ impl Serve {
             .spawn()
             .expect("client spawns");
         child.stdin.take().expect("piped").write_all(script.as_bytes()).expect("script written");
-        let out = child.wait_with_output().expect("client exits");
+        child.wait_with_output().expect("client exits")
+    }
+
+    /// Run a client script against this server; returns (stdout, exit code).
+    fn client(&self, script: &str) -> (String, Option<i32>) {
+        let out = self.client_output(script);
         assert!(out.stderr.is_empty(), "client stderr: {}", String::from_utf8_lossy(&out.stderr));
         (String::from_utf8_lossy(&out.stdout).into_owned(), out.status.code())
     }
@@ -170,6 +175,29 @@ fn client_batchall_roundtrip() {
     assert!(out.contains("[1] books: translatable"), "{out}");
     assert!(out.contains("[2] books: untranslatable"), "{out}");
     assert!(out.contains("--- items=2 fanout_requests=2 candidates=2"), "{out}");
+    serve.shutdown();
+}
+
+/// `client batch` refuses a `-- view:` header whose name is empty or holds
+/// whitespace exactly as `check-batch` does (a `path:line` error, exit 2),
+/// before it sends anything, so no item of the file is checked.
+#[test]
+fn client_batch_rejects_a_header_without_one_view_name() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let u8_text = std::fs::read_to_string(root.join("fixtures/u8.xq")).unwrap();
+    let serve = Serve::spawn("2");
+    for (i, header) in ["-- view:", "-- view: my books"].into_iter().enumerate() {
+        let rel = format!("target/service_cli_bad_header{i}.ubatch");
+        std::fs::write(root.join(&rel), format!("{header}\n{u8_text}-- view: books\n{u8_text}"))
+            .unwrap();
+        let out = serve.client_output(&format!("batch {rel}\n"));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{header:?}: {stderr}");
+        assert!(stderr.contains(&format!("{rel}:1: ")), "{header:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{header:?}: {}", String::from_utf8_lossy(&out.stdout));
+    }
+    let (stats, _) = serve.client("stats\n");
+    assert!(stats.contains(" checked=0 "), "{stats}");
     serve.shutdown();
 }
 
