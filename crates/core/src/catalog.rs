@@ -171,7 +171,7 @@ pub struct BatchStats {
 
 impl BatchStats {
     /// Accumulate another batch's counters into this one (the service's
-    /// worker pool merges one partial report per worker).
+    /// check pool sums every request's counters this way).
     pub fn merge(&mut self, other: &BatchStats) {
         self.items += other.items;
         self.parse_hits += other.parse_hits;
@@ -763,9 +763,10 @@ impl ViewCatalog {
     /// a per-item invalid report; they never abort the batch. Reports come
     /// back sorted by item index, then view name.
     ///
-    /// `cache` may outlive the call: a `ufilter-service` worker keeps one
-    /// per worker across its whole lifetime, so probe results survive from
-    /// one request to the next. That is sound only while the probed base
+    /// `cache` may outlive the call: each `ufilter-service` check slot
+    /// keeps one, beside its database clone, for the server's lifetime, so
+    /// probe results survive from one request to the next, whichever
+    /// connection sends it. That is sound only while the probed base
     /// tables do not change between calls (the service is check-only, so
     /// they do not), and the engine invalidates the cache whenever the
     /// catalog's schema epoch moved. Reported [`BatchStats`] hit/miss

@@ -158,7 +158,7 @@ impl HistogramSnapshot {
     }
 
     /// Fold `other` into `self`. Merging is associative and commutative
-    /// (bucket-wise addition), so per-worker snapshots can be combined in
+    /// (bucket-wise addition), so per-thread snapshots can be combined in
     /// any order.
     pub fn merge(&mut self, other: &HistogramSnapshot) {
         for (a, b) in self.counts.iter_mut().zip(&other.counts) {
@@ -383,7 +383,7 @@ impl Recorder {
 pub struct MetricsSnapshot {
     stages: Vec<HistogramSnapshot>,
     verbs: Vec<HistogramSnapshot>,
-    /// Time a pool job spent queued before a worker picked it up.
+    /// Time a check request waited for a free `ufilter-service` pool slot.
     pub queue_wait: HistogramSnapshot,
     /// Catalog read-lock acquire + hold time on the check path.
     pub lock_read: HistogramSnapshot,
@@ -541,7 +541,7 @@ pub fn verb_elapsed(verb: Verb, start: Option<Instant>) {
     }
 }
 
-/// Record a pool-queue wait started at enqueue time with [`clock()`].
+/// Record a wait for a check slot started with [`clock()`].
 pub fn queue_wait_elapsed(start: Option<Instant>) {
     if let Some(t) = start {
         let nanos = elapsed_nanos(t);

@@ -369,28 +369,19 @@ fn tab_link(
     None
 }
 
-/// `(k1, …) IN (probe)` — single-key probes use `IN (SELECT …)`; composite
-/// keys fall back to a conjunction per probe row resolved at execution.
+/// Match the rows of the key's relation that `probe` selects: `k IN
+/// (probe)` for a single-column key, and `R.rowid IN (SELECT R.rowid FROM
+/// <probe's FROM and WHERE>)` for a composite one, because an `IN`
+/// subquery compares only its first column.
 fn in_probe_pred(key_cols: &[ColRef], probe: &Select) -> Expr {
-    if key_cols.len() == 1 {
-        Expr::InSubquery {
-            expr: Box::new(Expr::Column(key_cols[0].clone())),
-            query: Box::new(probe.clone()),
-            negated: false,
+    let (expr, query) = match key_cols {
+        [key] => (Expr::Column(key.clone()), probe.clone()),
+        _ => {
+            let rowid = Expr::col(key_cols[0].table.clone(), "rowid");
+            (rowid.clone(), Select { items: vec![SelectItemExpr(rowid)], ..probe.clone() })
         }
-    } else {
-        // Composite key: compare each column against the probe's projection
-        // via correlated IN per column is unsound in general; the executor
-        // path for composite keys re-runs the probe and expands to a
-        // disjunction of conjunctions. Here we emit the expanded form lazily
-        // as an `InSubquery` on the first column plus residuals — the
-        // datacheck layer expands composite deletes row-by-row instead.
-        Expr::InSubquery {
-            expr: Box::new(Expr::Column(key_cols[0].clone())),
-            query: Box::new(probe.clone()),
-            negated: false,
-        }
-    }
+    };
+    Expr::InSubquery { expr: Box::new(expr), query: Box::new(query), negated: false }
 }
 
 // ---------------------------------------------------------------------------

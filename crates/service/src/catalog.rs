@@ -8,11 +8,12 @@
 //! guards, so there is no lock order to keep.
 //!
 //! One hazard remains: std's `RwLock` may block new readers while a writer
-//! waits, so a thread that held a read guard while waiting on another
-//! reader (a [`CheckPool`](crate::CheckPool) worker takes its own read
-//! lock) could deadlock behind a queued writer. The guard accessor is
-//! crate-private for that reason, and the pool drops its guard before it
-//! dispatches any work.
+//! waits, so a thread that holds a read guard while it waits for anything
+//! holds off every writer, and every reader queued behind that writer, for
+//! the whole wait. The guard accessor is crate-private for that reason,
+//! and a [`CheckPool`](crate::CheckPool) request takes its check slot
+//! before the guard and returns it only after dropping the guard: it never
+//! waits for a slot while holding the guard.
 
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -24,10 +25,9 @@ use ufilter_core::{
 use ufilter_rdb::{DatabaseSchema, Db, ExecOutcome};
 use ufilter_xquery::UpdateStmt;
 
-/// FNV-1a 64-bit hash — deterministic across runs and processes, so
-/// (view, update) → worker routing is stable (std's default hasher is
-/// randomly seeded per `RandomState`, which would make routing
-/// unreproducible between a server and its replay).
+/// FNV-1a 64-bit hash — deterministic across runs and processes (std's
+/// default hasher is randomly seeded per `RandomState`). Kept for the
+/// `ledger/` benchmark, whose traced replay splits a stream with it.
 pub fn affinity_hash(parts: &[&str]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for part in parts {
@@ -107,8 +107,8 @@ impl ShardedCatalog {
         0
     }
 
-    /// The read guard. Never hold it across a [`CheckPool`](crate::CheckPool)
-    /// dispatch (see the [module docs](self)).
+    /// The read guard. Wait for nothing while holding it, not even a
+    /// [`CheckPool`](crate::CheckPool) slot (see the [module docs](self)).
     pub(crate) fn read(&self) -> RwLockReadGuard<'_, ViewCatalog> {
         self.inner.read().expect("catalog lock poisoned")
     }
@@ -175,8 +175,8 @@ impl ShardedCatalog {
 
     /// Check `(caller index, view, update text)` items in one
     /// [`ViewCatalog::check`] call under the read lock, sharing `cache`
-    /// across the call (the call a [`CheckPool`](crate::CheckPool) worker
-    /// makes). Reports come back in input order, labelled with the caller's
+    /// across the call (kept for the `ledger/` benchmark, which calls it).
+    /// Reports come back in input order, labelled with the caller's
     /// indices.
     pub fn check_indexed(
         &self,
@@ -197,8 +197,8 @@ impl ShardedCatalog {
     }
 }
 
-// The whole point of the catalog: it can be shared across worker threads
-// behind an Arc.
+// The whole point of the catalog: it can be shared across connection
+// threads behind an Arc.
 const _: fn() = || {
     fn assert_sync<T: Send + Sync>() {}
     assert_sync::<ShardedCatalog>();

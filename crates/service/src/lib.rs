@@ -10,11 +10,12 @@
 //!   routing take the read lock once per call; catalog mutations and
 //!   guarded DDL take the write lock once. (The name predates the move
 //!   from per-name shards to a single lock.)
-//! * [`pool::CheckPool`] — a worker-pool executor (std threads + channels,
-//!   no external dependencies). Requests are routed by a deterministic
-//!   affinity hash of `(view, update text)`, so repeat-heavy traffic keeps
-//!   landing on the worker whose [`ufilter_core::ProbeCache`] is already
-//!   warm for it — cache reuse survives concurrency.
+//! * [`pool::CheckPool`] — `workers` private check slots (a database
+//!   clone and a long-lived [`ufilter_core::ProbeCache`] each) that
+//!   connection threads borrow: a request runs on the thread that read it,
+//!   on one slot, under one catalog read guard. Free slots are reused
+//!   last-in-first-out, so a connection keeps landing on the cache it just
+//!   warmed.
 //! * [`proto`] + [`server::CheckServer`] — a line-oriented wire protocol
 //!   over `std::net` TCP (`CHECK`, `BATCH`, `CHECKALL`, `BATCHALL`,
 //!   `CATALOG ADD/DROP/LIST`, `STATS`, `SHUTDOWN`) whose `OK`/`ERR`
@@ -27,10 +28,10 @@
 //!   [`ViewCatalog::route_candidates`](ufilter_core::ViewCatalog::route_candidates))
 //!   picks the candidate views, and only those run the pipeline.
 //!
-//! The service is **check-only**: no wire request ever executes a
-//! translated update, so worker-private database clones and probe caches
-//! stay valid for the server's lifetime, and every reply is a pure
-//! function of (catalog, database snapshot, update).
+//! The service is **check-only**: no wire request ever commits a
+//! translated update, so the slots' database clones and probe caches stay
+//! valid for the server's lifetime, and every reply is a pure function of
+//! (catalog, database snapshot, update).
 //!
 //! ```
 //! use std::sync::Arc;

@@ -44,18 +44,18 @@ const fn fam(
 /// family. The server renders the `STATS` reply from this table, so the
 /// order here is the wire format; the drift-guard test pins it.
 pub const STATS_FAMILIES: &[StatsFamily] = &[
-    fam("workers", "ufilter_workers", "gauge", "Check-pool worker threads."),
+    fam("workers", "ufilter_workers", "gauge", "Check slots in the pool."),
     fam("views", "ufilter_views", "gauge", "Registered views."),
     fam("connections", "ufilter_connections_total", "counter", "TCP connections accepted."),
     fam("requests", "ufilter_requests_total", "counter", "Requests parsed and handled."),
     fam("errors", "ufilter_errors_total", "counter", "Requests answered with ERR."),
-    fam("jobs", "ufilter_jobs_total", "counter", "Jobs dispatched to pool workers."),
+    fam("jobs", "ufilter_jobs_total", "counter", "Check requests run on a slot."),
     fam("checked", "ufilter_checked_total", "counter", "Stream items checked."),
     fam(
         "probe_hits",
         "ufilter_probe_hits_total",
         "counter",
-        "Context probes served from a warm worker cache.",
+        "Context probes served from a warm slot cache.",
     ),
     fam(
         "probe_misses",
@@ -235,7 +235,7 @@ pub fn render(stats_values: &[u64], snap: &MetricsSnapshot) -> Vec<String> {
     push_summary(
         &mut out,
         "ufilter_queue_wait_seconds",
-        "Time a pool job waited before a worker picked it up.",
+        "Time a check request waited for a free slot.",
         &[("", &snap.queue_wait)],
         1e-9,
     );

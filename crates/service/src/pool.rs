@@ -1,168 +1,124 @@
-//! The worker-pool executor: N std threads fanning check requests over the
-//! shared [`ShardedCatalog`], with deterministic **affinity routing** so
-//! probe-cache reuse survives concurrency.
+//! The check pool: `workers` private check **slots** that connection
+//! threads borrow, one request at a time.
 //!
-//! Each worker owns a private [`Db`] clone and one long-lived
-//! [`ProbeCache`]. Routing is by `hash(view, update text)` — every
-//! occurrence of the same update against the same view lands on the same
-//! worker, so repeat-heavy streams keep hitting that worker's warm cache
-//! (and its materialized `TAB_…` tables stay fresh, because no other view's
-//! probes thrash them). Plain per-view routing would cap the usable
-//! parallelism at the number of registered views; hashing the update text
-//! in keeps the affinity property *and* balances a skewed stream.
+//! A slot is a private [`Db`] clone plus the long-lived [`ProbeCache`]
+//! whose results refer to it. [`CheckPool::check`] runs on the calling
+//! thread: it takes a free slot (waiting if every slot is lent out), then
+//! the catalog read guard, and drops the guard before it returns the slot,
+//! so a request that is only waiting for a slot never holds off a writer.
+//! Free slots form a last-in-first-out stack, so a lone connection keeps
+//! reusing the slot whose cache it just warmed.
 //!
-//! The pool is check-only: workers never execute translations, so their
-//! private databases stay byte-identical to the snapshot taken at pool
-//! construction and cached probe results stay valid for the pool's
-//! lifetime.
+//! Slots stay private because checking still writes: the outside strategy
+//! materializes `TAB_<tag>` into the database, and the hybrid and internal
+//! strategies execute and roll back. Nothing is committed, so every slot's
+//! database stays the snapshot taken at construction, and cached probe
+//! results stay valid for the pool's lifetime.
 
-use std::collections::HashMap;
-use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Mutex};
-use std::thread::JoinHandle;
-use std::time::Instant;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
-use ufilter_core::obs;
-use ufilter_core::{
-    parse_update_timed, BatchItemReport, BatchReport, BatchStats, CheckReport, FanoutStats,
-    ProbeCache, Target,
-};
+use ufilter_core::obs::{self, LockKind};
+use ufilter_core::{BatchReport, BatchStats, CheckReport, FanoutStats, ProbeCache, Target};
 use ufilter_rdb::Db;
 
-use crate::catalog::{affinity_hash, ShardedCatalog};
+use crate::catalog::ShardedCatalog;
 
-/// One routed unit of work: a slice of a stream plus the channel to send
-/// the worker's partial report back on.
-struct Job {
-    items: Vec<(usize, String, String)>,
-    reply: Sender<(Vec<BatchItemReport>, BatchStats)>,
-    /// Dispatch time (None when metrics are disabled); the receiving worker
-    /// records the queue wait.
-    enqueued: Option<Instant>,
+/// One check slot: a database clone and the probe cache built over it.
+struct Slot {
+    db: Db,
+    cache: ProbeCache,
 }
 
-/// The worker-pool executor. Construct once, share behind an `Arc`, call
-/// [`check`](CheckPool::check) from any number of threads.
+/// A borrowed slot, pushed back on the free stack when dropped — also when
+/// the check panicked, so a failed request cannot leak its slot.
+struct Lease<'p>(&'p CheckPool, Option<Slot>);
+
+impl Drop for Lease<'_> {
+    fn drop(&mut self) {
+        let Some(mut slot) = self.1.take() else { return };
+        if std::thread::panicking() {
+            // End the transaction the check left open; forget its probes.
+            if slot.db.in_transaction() {
+                let _ = slot.db.rollback();
+            }
+            slot.cache = ProbeCache::new();
+        }
+        self.0.free.lock().unwrap_or_else(PoisonError::into_inner).push(slot);
+        self.0.returned.notify_one();
+    }
+}
+
+/// The check pool. Construct once, share behind an `Arc`, call
+/// [`check`](CheckPool::check) from any number of threads; at most
+/// [`workers`](CheckPool::workers) checks run at once.
 pub struct CheckPool {
-    senders: Vec<Sender<Job>>,
-    handles: Vec<JoinHandle<()>>,
-    /// Jobs dispatched, what they checked and what routing did, summed
-    /// over every request (the server's `STATS` counters).
+    /// Free slots, used as a stack: the slot returned last is lent next.
+    free: Mutex<Vec<Slot>>,
+    /// Signalled whenever a slot is returned.
+    returned: Condvar,
+    workers: usize,
+    /// Checks run, what they checked and what routing did, summed over
+    /// every request (the server's `STATS` counters).
     stats: Mutex<(usize, BatchStats, FanoutStats)>,
     catalog: Arc<ShardedCatalog>,
 }
 
 impl CheckPool {
-    /// Spawn `workers` (at least 1) threads, each owning a clone of `db`
-    /// and an empty probe cache, all sharing `catalog`.
+    /// `workers` (at least 1) slots, each owning a clone of `db` and an
+    /// empty probe cache, all checking against `catalog`.
     pub fn new(catalog: Arc<ShardedCatalog>, db: &Db, workers: usize) -> CheckPool {
         let workers = workers.max(1);
-        let mut senders = Vec::with_capacity(workers);
-        let mut handles = Vec::with_capacity(workers);
-        for _ in 0..workers {
-            let (tx, rx) = channel::<Job>();
-            let catalog = Arc::clone(&catalog);
-            let mut db = db.clone();
-            handles.push(std::thread::spawn(move || worker_main(catalog, &mut db, rx)));
-            senders.push(tx);
+        let free = (0..workers).map(|_| Slot { db: db.clone(), cache: ProbeCache::new() });
+        CheckPool {
+            free: Mutex::new(free.collect()),
+            returned: Condvar::new(),
+            workers,
+            stats: Mutex::default(),
+            catalog,
         }
-        CheckPool { senders, handles, stats: Mutex::default(), catalog }
     }
 
-    /// Number of workers.
+    /// Number of slots.
     pub fn workers(&self) -> usize {
-        self.senders.len()
+        self.workers
     }
 
-    /// The worker a `(view, update text)` pair is routed to.
-    pub fn route(&self, view: &str, text: &str) -> usize {
-        (affinity_hash(&[view, text]) % self.senders.len() as u64) as usize
-    }
-
-    /// Counters summed over every request: (jobs dispatched to workers,
-    /// what the workers checked, what routing did).
+    /// Counters summed over every request: (checks run on a slot, what
+    /// they checked, what routing did).
     pub fn stats(&self) -> (usize, BatchStats, FanoutStats) {
         *self.stats.lock().expect("pool stats lock")
     }
 
-    /// Check a request's `(target, update text)` items across the workers
-    /// — the server's one pool call for `CHECK`, `BATCH`, `CHECKALL` and
-    /// `BATCHALL`. Routed items are parsed (once per distinct text) and
-    /// routed with [`ViewCatalog::route_candidates`] under one read guard,
-    /// which is dropped before any job is dispatched; a request whose
-    /// items all name their view takes no guard and parses nothing here.
-    /// Every (item, view) pair then goes to the worker its affinity hash
-    /// picks, and the partial reports are reassembled sorted by item
-    /// index, then view name. Per-item outcomes are byte-identical (in
-    /// wire form) to a single-threaded [`ViewCatalog::check`] of the same
-    /// items — routing only decides which worker's cache absorbs which
-    /// probes.
+    /// Check a request's `(target, update text)` items on a borrowed slot
+    /// in one [`ViewCatalog::check`] under one catalog read guard, so
+    /// routing and checking see the same catalog — the server's one pool
+    /// call for all four check verbs. Outcomes are byte-identical (in wire
+    /// form) to a single-threaded call of it.
     ///
-    /// Routing and dispatch are two steps, each individually consistent
-    /// but not atomic together: a view dropped concurrently between them
-    /// yields the same per-item "no view named …" report a direct `CHECK`
-    /// of that view would produce at dispatch time (and a concurrently
-    /// *added* view may be missed by this request — it was not registered
-    /// when routing ran). Holding the routing guard across the dispatch
-    /// would deadlock behind a queued writer (see the
-    /// [catalog docs](crate::catalog)).
-    ///
-    /// [`ViewCatalog::route_candidates`]: ufilter_core::ViewCatalog::route_candidates
     /// [`ViewCatalog::check`]: ufilter_core::ViewCatalog::check
     pub fn check(&self, items: &[(Target<'_>, &str)]) -> BatchReport {
-        let mut fanout = FanoutStats::default();
-        let mut per_worker: Vec<Vec<(usize, String, String)>> =
-            vec![Vec::new(); self.senders.len()];
-        let mut push = |index: usize, view: &str, text: &str| {
-            per_worker[self.route(view, text)].push((index, view.to_string(), text.to_string()));
-        };
-        // Parse each distinct routed text once, before taking the guard.
-        let mut parsed = HashMap::new();
-        for &(target, text) in items {
-            if target == Target::Routed {
-                parsed.entry(text).or_insert_with(|| parse_update_timed(text).ok());
-            }
-        }
-        let guard = (!parsed.is_empty()).then(|| self.catalog.read());
-        for (index, &(target, text)) in items.iter().enumerate() {
-            match (target, &guard) {
-                (Target::View(view), _) => push(index, view, text),
-                (Target::Routed, Some(catalog)) => {
-                    for view in catalog.route_candidates(parsed[text].as_ref(), &mut fanout) {
-                        push(index, &view, text);
-                    }
-                }
-                (Target::Routed, None) => unreachable!("a routed item takes the guard"),
-            }
-        }
-        // Workers take their own read lock, and a writer queued behind ours
-        // would wedge them.
-        drop(guard);
-
-        let (reply, inbox): (Sender<_>, Receiver<_>) = channel();
-        let mut jobs = 0;
-        for (w, job_items) in per_worker.into_iter().enumerate() {
-            if job_items.is_empty() {
-                continue;
-            }
-            jobs += 1;
-            self.senders[w]
-                .send(Job { items: job_items, reply: reply.clone(), enqueued: obs::clock() })
-                .expect("worker thread alive while pool exists");
-        }
-        drop(reply);
-        let mut report = BatchReport { items: Vec::new(), stats: BatchStats::default(), fanout };
-        for _ in 0..jobs {
-            let (part, part_stats) = inbox.recv().expect("worker replies before dropping job");
-            report.items.extend(part);
-            report.stats.merge(&part_stats);
-        }
-        report.items.sort_by(|a, b| (a.index, &a.view).cmp(&(b.index, &b.view)));
+        let mut lease = self.lease();
+        let Slot { db, cache } = lease.1.as_mut().expect("a lease holds its slot");
+        let span = obs::clock();
+        let report = self.catalog.read().check(items, db, cache);
+        obs::lock_hold_elapsed(LockKind::Read, span);
+        drop(lease);
         let mut totals = self.stats.lock().expect("pool stats lock");
-        totals.0 += jobs;
+        totals.0 += 1;
         totals.1.merge(&report.stats);
         totals.2.merge(&report.fanout);
         report
+    }
+
+    /// Pop a free slot, waiting for one if none is free; the wait lands in
+    /// the queue-wait histogram.
+    fn lease(&self) -> Lease<'_> {
+        let waited = obs::clock();
+        let free = self.free.lock().expect("pool slot lock");
+        let slot =
+            self.returned.wait_while(free, |free| free.is_empty()).expect("pool slot lock").pop();
+        obs::queue_wait_elapsed(waited);
+        Lease(self, slot)
     }
 
     /// [`check`](Self::check) of `(view, update text)` items. This and
@@ -180,32 +136,6 @@ impl CheckPool {
     /// [`check`](Self::check) of one routed update.
     pub fn check_all(&self, update_text: &str) -> BatchReport {
         self.check(&[(Target::Routed, update_text)])
-    }
-}
-
-impl Drop for CheckPool {
-    fn drop(&mut self) {
-        // Closing the channels ends the worker loops; join so no worker
-        // outlives the pool (and any panic surfaces here).
-        self.senders.clear();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-fn worker_main(catalog: Arc<ShardedCatalog>, db: &mut Db, rx: Receiver<Job>) {
-    // One cache for the worker's lifetime: probe results and TAB_ freshness
-    // both refer to this worker's private db, so sharing the cache across
-    // jobs (and across views routed here) is sound.
-    let mut cache = ProbeCache::new();
-    while let Ok(job) = rx.recv() {
-        obs::queue_wait_elapsed(job.enqueued);
-        let borrowed: Vec<(usize, &str, &str)> =
-            job.items.iter().map(|(i, v, t)| (*i, v.as_str(), t.as_str())).collect();
-        let partial = catalog.check_indexed(&borrowed, db, &mut cache);
-        // A dropped receiver (caller gave up) is not a worker error.
-        let _ = job.reply.send(partial);
     }
 }
 
@@ -249,23 +179,9 @@ mod tests {
             let pooled = pool.check(&items);
             assert_eq!(wire_lines(&serial), wire_lines(&pooled), "workers={workers}");
             assert_eq!(serial.fanout, pooled.fanout, "workers={workers}");
-            // Input order survives the fan-out.
             let indices: Vec<usize> = pooled.items.iter().map(|i| i.index).collect();
             assert_eq!(indices, (0..texts.len()).collect::<Vec<_>>());
         }
-    }
-
-    #[test]
-    fn affinity_routing_is_deterministic() {
-        let (pool, _catalog) = book_pool(4);
-        let a = pool.route("books", bookdemo::U8);
-        assert_eq!(a, pool.route("books", bookdemo::U8));
-        // Stats accumulate across calls.
-        pool.check_one("books", bookdemo::U8);
-        pool.check_one("books", bookdemo::U8);
-        let (jobs, s, _) = pool.stats();
-        assert_eq!((jobs, s.items), (2, 2));
-        assert!(s.probe_hits >= 1, "second identical check hits the warm cache: {s:?}");
     }
 
     #[test]
@@ -306,8 +222,57 @@ mod tests {
     }
 
     #[test]
+    fn a_request_waits_for_a_slot_without_holding_off_writers() {
+        use std::sync::mpsc::channel;
+        use std::time::Duration;
+        let (pool, catalog) = book_pool(1);
+        let pool = Arc::new(pool);
+        let held = pool.lease();
+        let (tx, rx) = channel();
+        let waiter = {
+            let pool = Arc::clone(&pool);
+            std::thread::spawn(move || tx.send(pool.check_all(bookdemo::U8)).unwrap())
+        };
+        // The only slot is lent out, so the check cannot run yet.
+        assert!(rx.recv_timeout(Duration::from_millis(50)).is_err());
+        // Nor does the waiting request hold the catalog lock: a writer
+        // gets through.
+        let (added_tx, added) = channel();
+        let writer = {
+            let catalog = Arc::clone(&catalog);
+            std::thread::spawn(move || {
+                added_tx.send(catalog.add("books2", bookdemo::BOOK_VIEW).is_ok()).unwrap()
+            })
+        };
+        assert_eq!(added.recv_timeout(Duration::from_secs(60)), Ok(true), "writer held off");
+        drop(held);
+        let report = rx.recv_timeout(Duration::from_secs(60)).expect("slot returned");
+        // Routing ran once the request had its slot, so it sees both views.
+        let views: Vec<&str> = report.items.iter().map(|i| i.view.as_str()).collect();
+        assert_eq!(views, ["books", "books2"]);
+        writer.join().unwrap();
+        waiter.join().unwrap();
+        assert_eq!(pool.stats().0, 1);
+    }
+
+    #[test]
+    fn a_panicking_check_returns_its_slot() {
+        let (pool, _catalog) = book_pool(1);
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let mut lease = pool.lease();
+            lease.1.as_mut().unwrap().db.begin().unwrap();
+            panic!("the check failed part way");
+        }));
+        assert!(caught.is_err());
+        // The one slot is back, with its transaction ended.
+        let free = pool.free.lock().unwrap();
+        assert_eq!(free.len(), 1);
+        assert!(!free[0].db.in_transaction());
+    }
+
+    #[test]
     fn warm_cache_survives_across_requests() {
-        let (pool, _catalog) = book_pool(2);
+        let (pool, _catalog) = book_pool(4);
         let first = pool.check_one("books", bookdemo::U8);
         let hits_after_first = pool.stats().1.probe_hits;
         let second = pool.check_one("books", bookdemo::U8);
@@ -315,6 +280,10 @@ mod tests {
             first.iter().map(|r| encode_outcome(&r.outcome)).collect::<Vec<_>>(),
             second.iter().map(|r| encode_outcome(&r.outcome)).collect::<Vec<_>>(),
         );
-        assert!(pool.stats().1.probe_hits > hits_after_first, "repeat probe served from cache");
+        // Stats accumulate across calls, one check per request, and a lone
+        // caller gets back the slot it just warmed.
+        let (checks, s, _) = pool.stats();
+        assert_eq!((checks, s.items), (2, 2));
+        assert!(s.probe_hits > hits_after_first, "repeat probe served from cache: {s:?}");
     }
 }

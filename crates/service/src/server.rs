@@ -1,21 +1,19 @@
 //! The long-running TCP check server: `std::net` listener, one thread per
 //! connection, all connections sharing the catalog ([`ShardedCatalog`])
-//! and the [`CheckPool`].
+//! and the [`CheckPool`]'s check slots.
 //!
-//! A connection reads request lines ([`crate::proto`]), dispatches check
-//! work to the pool (so affinity routing — not connection identity —
-//! decides which worker and which warm cache serves an update), renders the
-//! whole structured `OK`/`ERR` reply into one buffer and sends it with one
-//! write on a `TCP_NODELAY` socket. A reply split across writes would have
-//! its tail held by Nagle's algorithm until the client's delayed ACK, about
-//! 40 ms later (the framing rule of the wire-protocol ADR in
-//! `docs/ARCHITECTURE.md`).
+//! A connection reads request lines ([`crate::proto`]), checks each check
+//! request itself on a slot borrowed from the pool (no other thread is
+//! involved), renders the whole structured `OK`/`ERR` reply into one
+//! buffer and sends it with one write on a `TCP_NODELAY` socket. A reply
+//! split across writes would have its tail held by Nagle's algorithm until
+//! the client's delayed ACK, about 40 ms later (the framing rule of the
+//! wire-protocol ADR in `docs/ARCHITECTURE.md`).
 //!
 //! Reads block with no timeout. `SHUTDOWN` flips a shared flag and wakes
 //! the accept loop with a loopback connection; the server then stops
 //! accepting, shuts down the read side of every live connection (a blocked
-//! read returns end of file at once), joins every connection thread, and
-//! drops the pool (joining the workers).
+//! read returns end of file at once) and joins every connection thread.
 
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read, Write};
@@ -62,8 +60,9 @@ pub struct CheckServer {
 }
 
 impl CheckServer {
-    /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and spawn a
-    /// pool of `workers` check workers, each owning a clone of `db`.
+    /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and build a
+    /// pool of `workers` check slots, each owning a clone of `db`: at most
+    /// `workers` checks run at once, whatever the number of connections.
     pub fn bind(
         addr: &str,
         catalog: Arc<ShardedCatalog>,
@@ -104,7 +103,7 @@ impl CheckServer {
     }
 
     /// Accept connections until `SHUTDOWN`, then drain: wakes and joins
-    /// every connection thread and the worker pool before returning.
+    /// every connection thread before returning.
     pub fn run(self) -> std::io::Result<()> {
         // Each connection's thread beside a weak handle on its socket, so
         // the socket still closes as soon as the thread is done with it.
@@ -506,11 +505,6 @@ pub fn report_line(reports: &[CheckReport]) -> String {
     reports.iter().map(|r| encode_outcome(&r.outcome)).collect::<Vec<String>>().join("\t")
 }
 
-/// Escape helper re-exported for clients building requests.
-pub fn escape_payload(s: &str) -> String {
-    escape(s)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -770,7 +764,8 @@ mod tests {
 
     #[test]
     fn concurrent_connections_get_consistent_answers() {
-        let (addr, handle) = spawn_book_server(4);
+        // One slot for four connections: they queue for it.
+        let (addr, handle) = spawn_book_server(1);
         let clients: Vec<std::thread::JoinHandle<Vec<String>>> = (0..4)
             .map(|_| {
                 std::thread::spawn(move || {

@@ -1,7 +1,8 @@
 //! Concurrency stress: N threads hammer one [`ShardedCatalog`] with a mix
 //! of single checks, batch checks, catalog add/drop churn and guarded DDL
-//! while a [`CheckPool`] reader fans `CHECKALL`s and `BATCH`es over two
-//! workers beside them; then every thread's per-operation outcomes are
+//! while three [`CheckPool`] readers send `CHECKALL`s and `BATCH`es through
+//! two check slots beside them (so readers queue for a slot while writers
+//! queue for the lock); then every thread's per-operation outcomes are
 //! compared against a single-threaded replay of the same schedule.
 //!
 //! The schedules are designed so each operation's observable outcome is
@@ -23,7 +24,9 @@ use ufilter_service::{CheckPool, ShardedCatalog};
 
 const THREADS: usize = 4;
 const ITERS: usize = 10;
-/// Read passes the pool reader makes while the writers run.
+/// Pool reader threads, more than the pool has slots.
+const READERS: usize = 3;
+/// Read passes each pool reader makes while the writers run.
 const READS: usize = 20;
 /// Views registered before the writers start and never touched by them.
 const STABLE: [&str; 2] = ["fixed_a", "fixed_b"];
@@ -127,12 +130,12 @@ fn catalog_with_stable_views() -> Arc<ShardedCatalog> {
 #[test]
 fn concurrent_schedules_match_single_threaded_replay() {
     // Concurrent run: THREADS writer threads over one catalog, each with
-    // its own database clone (the service's worker model), plus one pool
-    // reader. Every thread reports through the channel; the watchdog turns
-    // a deadlock into a failure instead of a hung test.
+    // its own database clone, plus READERS pool readers sharing two slots.
+    // Every thread reports through the channel; the watchdog turns a
+    // deadlock into a failure instead of a hung test.
     let catalog = catalog_with_stable_views();
     let base = bookdemo::book_db();
-    let pool = CheckPool::new(Arc::clone(&catalog), &base, 2);
+    let pool = Arc::new(CheckPool::new(Arc::clone(&catalog), &base, 2));
     let (tx, rx) = channel::<(usize, Vec<Vec<String>>)>();
     for t in 0..THREADS {
         let (catalog, tx, mut db) = (Arc::clone(&catalog), tx.clone(), base.clone());
@@ -140,11 +143,15 @@ fn concurrent_schedules_match_single_threaded_replay() {
             let _ = tx.send((t, vec![run_schedule(t, &catalog, &mut db)]));
         });
     }
-    std::thread::spawn(move || {
-        let _ = tx.send((THREADS, (0..READS).map(|_| pool_reads(&pool)).collect()));
-    });
-    let mut results: Vec<Vec<Vec<String>>> = vec![Vec::new(); THREADS + 1];
-    for _ in 0..=THREADS {
+    for r in THREADS..THREADS + READERS {
+        let (pool, tx) = (Arc::clone(&pool), tx.clone());
+        std::thread::spawn(move || {
+            let _ = tx.send((r, (0..READS).map(|_| pool_reads(&pool)).collect()));
+        });
+    }
+    drop(tx);
+    let mut results: Vec<Vec<Vec<String>>> = vec![Vec::new(); THREADS + READERS];
+    for _ in 0..THREADS + READERS {
         let (id, out) = rx
             .recv_timeout(WATCHDOG)
             .unwrap_or_else(|_| panic!("no thread result within {WATCHDOG:?}: hung or panicked"));
@@ -153,7 +160,7 @@ fn concurrent_schedules_match_single_threaded_replay() {
     assert_eq!(catalog.len(), STABLE.len(), "every writer cleaned up its views");
 
     // Single-threaded replay of the identical schedules, thread-major,
-    // then the reader's pass.
+    // then one reader's pass.
     let replay_catalog = catalog_with_stable_views();
     for (t, concurrent) in results.iter().take(THREADS).enumerate() {
         let replayed = run_schedule(t, &replay_catalog, &mut base.clone());
@@ -164,8 +171,11 @@ fn concurrent_schedules_match_single_threaded_replay() {
     }
     let expected = pool_reads(&CheckPool::new(replay_catalog, &base, 2));
     assert!(!expected.is_empty());
-    for (pass, got) in results[THREADS].iter().enumerate() {
-        assert_eq!(got, &expected, "pool read pass {pass} diverges from serial replay");
+    for (r, passes) in results[THREADS..].iter().enumerate() {
+        assert_eq!(passes.len(), READS, "reader {r} finished every pass");
+        for (pass, got) in passes.iter().enumerate() {
+            assert_eq!(got, &expected, "reader {r}, pass {pass} diverges from serial replay");
+        }
     }
 }
 

@@ -218,14 +218,10 @@ echo "crash-recovery smoke OK"
 # 50-update stream through both, and fail on any candidate-set divergence
 # (the binary exits non-zero on mismatch).
 FIGS=${PAPER_FIGURES_BIN:-target/release/paper-figures}
-if [ -x "$FIGS" ]; then
-    SMOKE=$(timeout 120 "$FIGS" routesmoke --n 10000 --updates 50)
-    echo "$SMOKE"
-    grep -q '^route-smoke OK n=10000 updates=50 ' <<< "$SMOKE" \
-        || { echo "FAIL: route-scale smoke did not report OK"; exit 1; }
-    NODES=$(tr ' ' '\n' <<< "$SMOKE" | sed -n 's/^trie_nodes=\([0-9]*\)$/\1/p')
-    [ "$NODES" -ge 1 ] || { echo "FAIL: route-scale smoke built an empty trie"; exit 1; }
-    echo "route-scale smoke OK"
-else
-    echo "SKIP: $FIGS not built; route-scale smoke skipped"
-fi
+SMOKE=$(timeout 120 "$FIGS" routesmoke --n 10000 --updates 50)
+echo "$SMOKE"
+grep -q '^route-smoke OK n=10000 updates=50 ' <<< "$SMOKE" \
+    || { echo "FAIL: route-scale smoke did not report OK"; exit 1; }
+NODES=$(tr ' ' '\n' <<< "$SMOKE" | sed -n 's/^trie_nodes=\([0-9]*\)$/\1/p')
+[ "$NODES" -ge 1 ] || { echo "FAIL: route-scale smoke built an empty trie"; exit 1; }
+echo "route-scale smoke OK"

@@ -204,7 +204,7 @@ COMMANDS:
                                    could affect (relevance-index routed); prints
                                    one wire outcome per candidate view
     serve                run the concurrent check server (one shared catalog +
-                         worker pool); prints 'LISTENING <addr>' once bound.
+                         check slots); prints 'LISTENING <addr>' once bound.
                          With --data-dir, catalog mutations are durable: the
                          server logs them before acknowledging, recovers them
                          on restart (prints 'RECOVERED ...'), and compacts on
@@ -221,7 +221,7 @@ OPTIONS:
     --data-dir <dir>                     durable catalog directory (serve,
                                          catalog compact/verify)
     --listen <addr>                      serve: bind address (default 127.0.0.1:0)
-    --workers <n>                        serve: worker threads (default 4)
+    --workers <n>                        serve: check slots (default 4)
     --slow-ms <ms>                       serve: log requests slower than <ms>
                                          milliseconds to stderr as SLOW lines
                                          with a trace id (default: off)

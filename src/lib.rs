@@ -20,7 +20,7 @@
 //! * [`route`] — the shared relevance index fanning updates out to the
 //!   candidate views they could affect;
 //! * [`service`] — the concurrent check server (one catalog behind one
-//!   `RwLock`, worker pool, line-oriented wire protocol);
+//!   `RwLock`, borrowed check slots, line-oriented wire protocol);
 //! * [`tpch`] — the evaluation's data generator and views;
 //! * [`usecases`] — the W3C use-case catalog (Fig. 12).
 //!

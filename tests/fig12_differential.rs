@@ -179,7 +179,7 @@ fn served_batch_is_byte_identical_to_check_batch() {
         }
     }
 
-    // Served side: a real CheckServer, 2 workers, same views and data.
+    // Served side: a real CheckServer, 2 check slots, same views and data.
     let sharded = Arc::new(ShardedCatalog::new(db.schema().clone()));
     for (name, text) in subset_views() {
         sharded.add(name, text).unwrap();
@@ -287,7 +287,7 @@ UPDATE $a { DELETE $a/review }"#;
     assert_eq!(expected.len(), 115, "114 ITEM lines and the END line");
     assert_eq!(expected[114], "END items=7 fanout_requests=7 candidates=114 pruned=68 fallbacks=2");
 
-    // Served side: a real CheckServer, 2 workers, same views and data.
+    // Served side: a real CheckServer, 2 check slots, same views and data.
     let sharded = Arc::new(ShardedCatalog::new(db.schema().clone()));
     for (name, text) in &views {
         sharded.add(name, text).unwrap();
