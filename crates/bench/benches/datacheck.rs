@@ -22,7 +22,7 @@ fn bench_strategies(c: &mut Criterion) {
             .with_config(UFilterConfig { strategy, ..Default::default() });
         c.bench_function(name, |b| {
             b.iter_batched(
-                || db.clone(),
+                || db.deep_clone(),
                 |mut db| {
                     let reports = filter.apply(&update, &mut db);
                     assert!(reports[0].outcome.is_translatable());

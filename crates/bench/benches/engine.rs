@@ -27,7 +27,7 @@ fn bench_cascade_and_rollback(c: &mut Criterion) {
     let db = generate(Scale::mb(2), 42, DeletePolicy::Cascade);
     c.bench_function("cascade_delete_region", |b| {
         b.iter_batched(
-            || db.clone(),
+            || db.deep_clone(),
             |mut db| {
                 db.execute_sql("DELETE FROM region WHERE r_regionkey = 1").unwrap();
             },
@@ -36,7 +36,7 @@ fn bench_cascade_and_rollback(c: &mut Criterion) {
     });
     c.bench_function("cascade_delete_then_rollback", |b| {
         b.iter_batched(
-            || db.clone(),
+            || db.deep_clone(),
             |mut db| {
                 db.begin().unwrap();
                 db.execute_sql("DELETE FROM region WHERE r_regionkey = 1").unwrap();

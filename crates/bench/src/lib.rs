@@ -89,11 +89,12 @@ fn ms(d: Duration) -> String {
     format!("{:.3}", d.as_secs_f64() * 1e3)
 }
 
-/// Median-of-`reps` wall time of `f` run against fresh clones of `db`.
+/// Median-of-`reps` wall time of `f` run against fresh clones of `db`,
+/// each owning its tables, so no write in `f` pays for a table copy.
 fn time_on_clone(db: &Db, reps: usize, mut f: impl FnMut(&mut Db)) -> Duration {
     let mut samples = Vec::with_capacity(reps);
     for _ in 0..reps {
-        let mut copy = db.clone();
+        let mut copy = db.deep_clone();
         let t = Instant::now();
         f(&mut copy);
         samples.push(t.elapsed());

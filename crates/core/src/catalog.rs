@@ -763,12 +763,15 @@ impl ViewCatalog {
     /// a per-item invalid report; they never abort the batch. Reports come
     /// back sorted by item index, then view name.
     ///
-    /// `cache` may outlive the call: each `ufilter-service` check slot
-    /// keeps one, beside its database clone, for the server's lifetime, so
-    /// probe results survive from one request to the next, whichever
-    /// connection sends it. That is sound only while the probed base
-    /// tables do not change between calls (the service is check-only, so
-    /// they do not), and the engine invalidates the cache whenever the
+    /// Checking leaves `db` as it found it: probes read `TAB_<tag>` as
+    /// the cached context rows bound to the query, and the hybrid and
+    /// internal strategies roll back what they execute. `cache` may
+    /// therefore outlive the call: each `ufilter-service` check slot keeps
+    /// one, beside its copy-on-write database clone, for the server's
+    /// lifetime, so probe results survive from one request to the next,
+    /// whichever connection sends it. That is sound only while the probed
+    /// base tables do not change between calls (the service is check-only,
+    /// so they do not), and the engine invalidates the cache whenever the
     /// catalog's schema epoch moved. Reported [`BatchStats`] hit/miss
     /// counters are per-call deltas.
     pub fn check(
@@ -884,14 +887,15 @@ impl ViewCatalog {
         }
 
         stats.target_groups = groups.len();
-        // Hybrid check-only probes execute-and-undo; inside a caller-held
-        // transaction that undo is impossible in place, so run_hybrid falls
-        // back to cloning the database per action. Pay the copy once for the
-        // whole batch instead: check against a committed snapshot of the
+        // Hybrid and internal check-only runs execute and undo; inside a
+        // caller-held transaction that undo is impossible in place, so they
+        // fall back to a copy-on-write clone per action. Take one clone for
+        // the whole batch instead: check against a committed copy of the
         // caller's current (uncommitted) state and discard it afterwards.
+        // It copies only the tables the checks write, once each.
         let mut scratch;
         let db: &mut Db =
-            if self.config.strategy == crate::datacheck::Strategy::Hybrid && db.in_transaction() {
+            if self.config.strategy != crate::datacheck::Strategy::Outside && db.in_transaction() {
                 scratch = db.clone();
                 scratch.commit().expect("clone carries the active transaction");
                 &mut scratch

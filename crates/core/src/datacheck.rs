@@ -14,8 +14,8 @@
 
 use ufilter_asg::{AsgNodeKind, ViewAsg};
 use ufilter_rdb::{
-    view as rdb_view, ColRef, DatabaseSchema, Db, Expr, FromItem, JoinKind, Select, SelectItem,
-    Stmt, TableRef, Value,
+    view as rdb_view, ColRef, DatabaseSchema, Db, Expr, FromItem, JoinKind, ResultSet, Row, RowId,
+    Select, SelectItem, Stmt, TableRef, Value,
 };
 use ufilter_xquery::UpdateKind;
 
@@ -34,7 +34,7 @@ pub enum Strategy {
     /// materialization (§6.2.2/§7.2).
     Hybrid,
     /// Probe with separate SQL before issuing each translated statement,
-    /// materializing the context probe for reuse (§6.2.3).
+    /// keeping the context probe's result as `TAB_<tag>` for reuse (§6.2.3).
     #[default]
     Outside,
 }
@@ -110,7 +110,9 @@ pub fn run_shared_checks(
         notes.push(format!("shared data verified: {} exists and is consistent", check.relation));
     }
     for pre in &plan.preconditions {
-        let rs = db.query(&pre.probe).map_err(|e| (CheckStep::DataPoint, e.to_string()))?;
+        let rs = db
+            .query_with(&pre.probe, plan.tab().as_slice())
+            .map_err(|e| (CheckStep::DataPoint, e.to_string()))?;
         if rs.is_empty() != pre.expect_empty {
             return Err((CheckStep::DataPoint, pre.reason.clone()));
         }
@@ -123,7 +125,9 @@ pub fn run_shared_checks(
     Ok(notes)
 }
 
-/// Outside strategy: probe first, then (optionally) execute.
+/// Outside strategy: probe first, then (optionally) execute. The probes
+/// read `TAB_<tag>` as the plan's bound context rows, so a check-only run
+/// only reads `db`.
 pub fn run_outside(db: &mut Db, plan: &TranslationPlan, apply: bool) -> DataCheckReport {
     let mut report = DataCheckReport::default();
     match run_shared_checks(db, plan) {
@@ -132,7 +136,7 @@ pub fn run_outside(db: &mut Db, plan: &TranslationPlan, apply: bool) -> DataChec
     }
     for planned in &plan.statements {
         if let Some(probe) = &planned.probe {
-            let rs = match db.query(probe) {
+            let rs = match db.query_with(probe, plan.tab().as_slice()) {
                 Ok(rs) => rs,
                 Err(e) => return DataCheckReport::reject(CheckStep::DataPoint, e.to_string()),
             };
@@ -181,33 +185,39 @@ pub fn run_outside(db: &mut Db, plan: &TranslationPlan, apply: bool) -> DataChec
 /// Hybrid strategy: execute inside a transaction, trusting the engine's
 /// error/warning channel; roll back on any error. With `apply = false` the
 /// transaction is rolled back even on success (pure check) — and when the
-/// caller already holds a transaction (so rolling back would discard *their*
-/// work), the statements run against a throwaway copy of the database
-/// instead, keeping the check side-effect-free.
+/// caller already holds a transaction (so rolling back would discard
+/// *their* work), the statements run against a copy-on-write clone of the
+/// database instead, keeping the check side-effect-free.
 pub fn run_hybrid(db: &mut Db, plan: &TranslationPlan, apply: bool) -> DataCheckReport {
     let mut report = DataCheckReport::default();
     match run_shared_checks(db, plan) {
         Ok(notes) => report.notes.extend(notes),
         Err((step, reason)) => return DataCheckReport::reject(step, reason),
     }
+    isolated(db, apply, |db| hybrid_exec(db, plan, &mut report));
+    report
+}
+
+/// Run `exec` (which returns `false` on failure) so that a check-only run
+/// leaves `db` as it found it: in a transaction of its own that is rolled
+/// back, or, inside the caller's transaction, on a copy-on-write clone
+/// (which copies only the tables `exec` writes). With `apply`, a
+/// transaction of its own commits unless `exec` failed; inside the
+/// caller's, `exec` runs in place.
+fn isolated(db: &mut Db, apply: bool, exec: impl FnOnce(&mut Db) -> bool) {
     let own_txn = !db.in_transaction();
     if !own_txn && !apply {
-        let mut copy = db.clone();
-        hybrid_exec(&mut copy, plan, &mut report);
-        return report;
+        exec(&mut db.clone());
+        return;
     }
     if own_txn {
         db.begin().expect("no active transaction");
     }
-    let failed = !hybrid_exec(db, plan, &mut report);
+    let ok = exec(db);
     if own_txn {
-        if apply && !failed {
-            db.commit().expect("transaction active");
-        } else {
-            db.rollback().expect("transaction active");
-        }
+        let end = if apply && ok { db.commit() } else { db.rollback() };
+        end.expect("transaction active");
     }
-    report
 }
 
 /// Run the plan's statements, accumulating into `report`; `false` (and a
@@ -235,6 +245,8 @@ fn hybrid_exec(db: &mut Db, plan: &TranslationPlan, report: &mut DataCheckReport
 }
 
 /// Internal strategy (§6.2.1): update through the mapping relational view.
+/// A check-only run (`apply = false`) leaves no trace, as
+/// [`run_hybrid`]'s does.
 pub fn run_internal(
     db: &mut Db,
     asg: &ViewAsg,
@@ -259,10 +271,33 @@ pub fn run_internal(
         Ok(notes) => report.notes.extend(notes),
         Err((step, reason)) => return DataCheckReport::reject(step, reason),
     }
-    let view_name = match ensure_relational_view(db, asg, schema) {
-        Ok(n) => n,
-        Err(e) => return DataCheckReport::reject(CheckStep::DataPoint, e),
-    };
+    isolated(db, apply, |db| match internal_exec(db, asg, schema, action, plan, &mut report) {
+        Ok(()) => true,
+        Err(reason) => {
+            report = DataCheckReport::reject(CheckStep::DataPoint, reason);
+            false
+        }
+    });
+    if !apply && report.rejected.is_none() && report.executed > 0 {
+        report.notes.push(match action.kind {
+            UpdateKind::Insert => "internal strategy executed through the view".into(),
+            _ => "internal delete executed through the view".into(),
+        });
+    }
+    report
+}
+
+/// The internal strategy's writes through the mapping view, accumulating
+/// into `report`; `Err` carries a data-point rejection.
+fn internal_exec(
+    db: &mut Db,
+    asg: &ViewAsg,
+    schema: &DatabaseSchema,
+    action: &ResolvedAction,
+    plan: &TranslationPlan,
+    report: &mut DataCheckReport,
+) -> Result<(), String> {
+    let view_name = ensure_relational_view(db, asg, schema)?;
     match action.kind {
         UpdateKind::Insert => {
             // The expensive part: fetch *all* attributes of every context
@@ -280,36 +315,19 @@ pub fn run_internal(
                 &relevant_preds(&info, &action.predicates),
                 &SelectSpec::AllColumns,
             );
-            let ctx_rows = match db.query(&probe) {
-                Ok(rs) => rs,
-                Err(e) => return DataCheckReport::reject(CheckStep::DataPoint, e.to_string()),
-            };
+            let ctx_rows = db.query(&probe).map_err(|e| e.to_string())?;
             // Values supplied by the fragment, via the plan's statements.
             let mut supplied: Vec<(String, Value)> = Vec::new();
             for planned in &plan.statements {
                 if let Stmt::Insert(ins) = &planned.stmt {
                     for (c, v) in ins.columns.iter().zip(&ins.rows[0]) {
-                        supplied.push((
-                            format!(
-                                "{}_{}",
-                                ins.table.to_ascii_lowercase(),
-                                c.to_ascii_lowercase()
-                            ),
-                            v.clone(),
-                        ));
+                        supplied.push((view_column(&ins.table, c), v.clone()));
                     }
                 }
             }
             for check in &plan.shared_checks {
                 for (c, v) in &check.supplied {
-                    supplied.push((
-                        format!(
-                            "{}_{}",
-                            check.relation.to_ascii_lowercase(),
-                            c.to_ascii_lowercase()
-                        ),
-                        v.clone(),
-                    ));
+                    supplied.push((view_column(&check.relation, c), v.clone()));
                 }
             }
             // Only columns the relational view actually projects can be
@@ -337,11 +355,7 @@ pub fn run_internal(
                 let mut values = Vec::new();
                 if let Some(row) = ctx_rows.rows.get(i) {
                     for (j, col) in ctx_rows.columns.iter().enumerate() {
-                        let alias = format!(
-                            "{}_{}",
-                            col.table.to_ascii_lowercase(),
-                            col.column.to_ascii_lowercase()
-                        );
+                        let alias = view_column(&col.table, &col.column);
                         if view_cols.contains(&alias) {
                             columns.push(alias);
                             values.push(row[j].clone());
@@ -354,64 +368,84 @@ pub fn run_internal(
                         values.push(v.clone());
                     }
                 }
-                match rdb_view::insert_into_view(db, &view_name, &columns, &[values]) {
-                    Ok(n) => {
-                        report.executed += 1;
-                        report.rows_affected += n;
-                    }
-                    Err(e) => return DataCheckReport::reject(CheckStep::DataPoint, e.to_string()),
-                }
-            }
-            if !apply {
-                report.notes.push("internal strategy executed through the view".into());
+                let n = rdb_view::insert_into_view(db, &view_name, &columns, &[values])
+                    .map_err(|e| e.to_string())?;
+                report.executed += 1;
+                report.rows_affected += n;
             }
         }
         UpdateKind::Delete | UpdateKind::Replace => {
-            // Delete through the view: identify target keys via the plan's
-            // probe, then push a predicate over the view's aliased columns.
+            // Delete through the view: identify the target rows via the
+            // plan's probe, then push a predicate over the view's aliased
+            // key columns.
             let Some(planned) = plan.statements.first() else {
-                return report;
+                return Ok(());
             };
             let Some(probe) = &planned.probe else {
-                return DataCheckReport::reject(CheckStep::DataPoint, "missing probe");
+                return Err("missing probe".into());
             };
-            let rs = match db.query(probe) {
-                Ok(rs) => rs,
-                Err(e) => return DataCheckReport::reject(CheckStep::DataPoint, e.to_string()),
-            };
+            let rs = db.query_with(probe, plan.tab().as_slice()).map_err(|e| e.to_string())?;
             if rs.is_empty() {
                 report.skipped += 1;
-                return report;
+                return Ok(());
             }
-            let first_col = &rs.columns[0];
-            let alias = format!(
-                "{}_{}",
-                first_col.table.to_ascii_lowercase(),
-                first_col.column.to_ascii_lowercase()
-            );
-            let pred = Expr::InSet {
-                expr: Box::new(Expr::col("", alias)),
-                set: rs.rows.iter().map(|r| r[0].clone()).collect(),
-                negated: false,
-            };
-            match rdb_view::delete_from_view_target(
+            let pred = key_pred(db, &planned.relation, &rs)?;
+            let n = rdb_view::delete_from_view_target(
                 db,
                 &view_name,
                 Some(&pred),
                 Some(&planned.relation),
-            ) {
-                Ok(n) => {
-                    report.executed += 1;
-                    report.rows_affected += n;
-                    if !apply {
-                        report.notes.push("internal delete executed through the view".into());
-                    }
-                }
-                Err(e) => return DataCheckReport::reject(CheckStep::DataPoint, e.to_string()),
-            }
+            )
+            .map_err(|e| e.to_string())?;
+            report.executed += 1;
+            report.rows_affected += n;
         }
     }
-    report
+    Ok(())
+}
+
+/// The mapping view's alias for `table.column`: `<table>_<column>`.
+fn view_column(table: &str, column: &str) -> String {
+    format!("{}_{}", table.to_ascii_lowercase(), column.to_ascii_lowercase())
+}
+
+/// `(k1 = v1 AND k2 = v2) OR …` over the mapping view's aliases of
+/// `relation`'s primary key, one disjunct per probed row. A probe that
+/// selects `rowid` is keyed through the stored row; one that selects
+/// columns must select every key column.
+fn key_pred(db: &Db, relation: &str, probed: &ResultSet) -> Result<Expr, String> {
+    let table =
+        db.schema().table(relation).ok_or_else(|| format!("unknown relation {relation}"))?;
+    if table.primary_key.is_empty() {
+        return Err(format!("{relation} has no primary key to address its rows by"));
+    }
+    let key_of = |row: &Row| -> Option<Vec<Value>> {
+        match probed.col("rowid") {
+            Some(i) => {
+                let Value::Int(rid) = row[i] else { return None };
+                let stored = db.table_data(relation)?.heap.get(RowId(rid as u64))?;
+                table
+                    .primary_key
+                    .iter()
+                    .map(|k| Some(stored[table.column_index(k)?].clone()))
+                    .collect()
+            }
+            None => table.primary_key.iter().map(|k| Some(row[probed.col(k)?].clone())).collect(),
+        }
+    };
+    let mut disjuncts = Vec::with_capacity(probed.len());
+    for row in &probed.rows {
+        let key =
+            key_of(row).ok_or_else(|| format!("the probe does not identify {relation} rows"))?;
+        disjuncts.push(Expr::and(
+            table
+                .primary_key
+                .iter()
+                .zip(key)
+                .map(|(k, v)| Expr::eq(Expr::col("", view_column(relation, k)), Expr::lit(v))),
+        ));
+    }
+    Ok(Expr::Or(disjuncts))
 }
 
 /// Predicates restricted to relations present in the path (others apply to
@@ -543,8 +577,7 @@ mod tests {
     fn shared_check_passes_on_consistent_duplicate() {
         let db = bookdemo::book_db();
         let plan = TranslationPlan {
-            context_probe: None,
-            tab_name: None,
+            context: None,
             preconditions: Vec::new(),
             shared_checks: vec![crate::translate::SharedCheck {
                 relation: "publisher".into(),
@@ -565,8 +598,7 @@ mod tests {
     fn shared_check_rejects_missing_and_inconsistent() {
         let db = bookdemo::book_db();
         let mk = |key: &str, name: &str| TranslationPlan {
-            context_probe: None,
-            tab_name: None,
+            context: None,
             preconditions: Vec::new(),
             shared_checks: vec![crate::translate::SharedCheck {
                 relation: "publisher".into(),
@@ -589,8 +621,7 @@ mod tests {
         let mut db = bookdemo::book_db();
         let before = db.dump();
         let plan = TranslationPlan {
-            context_probe: None,
-            tab_name: None,
+            context: None,
             preconditions: Vec::new(),
             shared_checks: Vec::new(),
             statements: vec![crate::translate::PlannedStmt {
@@ -612,8 +643,7 @@ mod tests {
     fn outside_skips_empty_delete_probes() {
         let mut db = bookdemo::book_db();
         let plan = TranslationPlan {
-            context_probe: None,
-            tab_name: None,
+            context: None,
             preconditions: Vec::new(),
             shared_checks: Vec::new(),
             statements: vec![crate::translate::PlannedStmt {

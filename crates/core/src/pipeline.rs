@@ -2,8 +2,10 @@
 //! STAR marking), then push every incoming update through the three checks,
 //! handing survivors to the translation engine.
 
+use std::sync::Arc;
+
 use ufilter_asg::{build_view_asg, AsgNodeKind, BaseAsg, ReadSets, ViewAsg};
-use ufilter_rdb::{DatabaseSchema, Db, Row, Select};
+use ufilter_rdb::{DatabaseSchema, Db, ResultSet};
 use ufilter_xquery::{features, parse_update, parse_view_query, UpdateStmt, ViewQuery};
 
 use crate::datacheck::{self, DataCheckReport, Strategy};
@@ -13,7 +15,7 @@ use crate::outcome::{CheckOutcome, CheckReport, CheckStep};
 use crate::probe::{build_probe, path_info, SelectSpec};
 use crate::star::{self, StarMarking, StarMode, StarVerdict};
 use crate::target::{resolve, ResolvedAction};
-use crate::translate::build_plan;
+use crate::translate::{build_plan, PlanContext};
 use crate::validate::validate;
 
 /// View compilation failure.
@@ -82,18 +84,17 @@ pub struct UFilterConfig {
 /// batch so identically-targeted updates pay for one table scan instead of
 /// many.
 ///
-/// Keyed by the probe's SQL text. Reusing a cache is sound only while the
-/// probed tables do not change: [`UFilter::run`] uses a fresh cache per
-/// statement (every action of a multi-action update is planned against the
-/// pre-update state, so intra-statement sharing is always safe), and
+/// Keyed by the probe's SQL text; a hit hands out the stored rows without
+/// copying them, and a check-only run reads them as `TAB_<tag>` straight
+/// from here. Reusing a cache is sound only while the probed tables do not
+/// change: [`UFilter::run`] uses a fresh cache per statement (every action
+/// of a multi-action update is planned against the pre-update state, so
+/// intra-statement sharing is always safe), and
 /// [`crate::catalog::ViewCatalog::check`] shares one cache across a whole
 /// check-only batch.
 #[derive(Debug, Default)]
 pub struct ProbeCache {
-    entries: std::collections::HashMap<String, ufilter_rdb::ResultSet>,
-    /// Which probe's result each `TAB_…` table currently holds, so a cache
-    /// hit only skips re-materialization while the table is still fresh.
-    materialized: std::collections::HashMap<String, String>,
+    entries: std::collections::HashMap<String, Arc<ResultSet>>,
     /// The catalog schema epoch the cached results were produced under (see
     /// [`crate::catalog::ViewCatalog::epoch`]). Guarded DDL bumps the
     /// catalog epoch; the batch engine calls [`sync_epoch`](Self::sync_epoch)
@@ -120,13 +121,12 @@ impl ProbeCache {
         self.misses
     }
 
-    /// Drop every cached probe result and `TAB_…` freshness record (the
-    /// hit/miss counters survive — they are lifetime telemetry, not
-    /// content). Call after anything that could change probe answers: a
-    /// schema change, direct base-table writes between check-only batches.
+    /// Drop every cached probe result (the hit/miss counters survive — they
+    /// are lifetime telemetry, not content). Call after anything that could
+    /// change probe answers: a schema change, direct base-table writes
+    /// between check-only batches.
     pub fn invalidate(&mut self) {
         self.entries.clear();
-        self.materialized.clear();
     }
 
     /// Adopt `epoch`, invalidating all content if it differs from the epoch
@@ -141,22 +141,21 @@ impl ProbeCache {
     }
 
     /// Look up `sql`, or run `fetch` and remember its result.
-    /// `Ok((result, was_hit))`.
     fn get_or_fetch(
         &mut self,
-        sql: &str,
-        fetch: impl FnOnce() -> Result<ufilter_rdb::ResultSet, ufilter_rdb::RdbError>,
-    ) -> Result<(ufilter_rdb::ResultSet, bool), ufilter_rdb::RdbError> {
-        if let Some(rs) = self.entries.get(sql) {
+        sql: String,
+        fetch: impl FnOnce() -> Result<ResultSet, ufilter_rdb::RdbError>,
+    ) -> Result<Arc<ResultSet>, ufilter_rdb::RdbError> {
+        if let Some(rs) = self.entries.get(&sql) {
             self.hits += 1;
-            return Ok((rs.clone(), true));
+            return Ok(Arc::clone(rs));
         }
         let span = obs::clock();
-        let rs = fetch()?;
+        let rs = Arc::new(fetch()?);
         obs::stage_elapsed(Stage::ProbeSql, span);
         self.misses += 1;
-        self.entries.insert(sql.to_string(), rs.clone());
-        Ok((rs, false))
+        self.entries.insert(sql, Arc::clone(&rs));
+        Ok(rs)
     }
 }
 
@@ -288,9 +287,9 @@ impl UFilter {
         }
     }
 
-    /// All three steps; data checks use non-destructive probes (the outside
-    /// strategy's probe set). The database is only touched to materialize
-    /// probe results (`TAB_…`), as the paper's Step 3 does.
+    /// All three steps, checking only: `db` is left as it was found. A
+    /// probe that reads `TAB_<tag>` (§6.1) reads the context rows bound to
+    /// the query, and hybrid and internal runs roll back what they execute.
     pub fn check(&self, update_text: &str, db: &mut Db) -> Vec<CheckReport> {
         match self.parse(update_text) {
             Ok(u) => self.run(&u, Some(db), false),
@@ -320,19 +319,11 @@ impl UFilter {
             // nothing may be carried over.
             let mut cache = ProbeCache::new();
             let mut trace = Vec::new();
-            let (context_probe, context_rows, tab_name) = self
+            let context = self
                 .context_check(action, db, &mut trace, false, &mut cache)
                 .map_err(|o| o.to_string())?;
-            let plan = build_plan(
-                &self.asg,
-                &self.marking,
-                &self.schema,
-                action,
-                context_probe,
-                &context_rows,
-                tab_name,
-            )
-            .map_err(|o| o.to_string())?;
+            let plan = build_plan(&self.asg, &self.marking, &self.schema, action, context)
+                .map_err(|o| o.to_string())?;
             let report = datacheck::run_hybrid(db, &plan, true);
             if let Some((_, reason)) = report.rejected {
                 return Err(reason);
@@ -372,14 +363,12 @@ impl UFilter {
         apply: bool,
         cache: &mut ProbeCache,
     ) -> Vec<CheckReport> {
-        let mut db = db;
-
         // ---- Phase 1: check + plan every action ------------------------
         let mut prepared = Vec::new();
         let mut reports = Vec::new();
         let mut any_rejected = false;
         for action in actions {
-            match self.prepare_action(action, db.as_deref_mut(), cache) {
+            match self.prepare_action(action, db.as_deref(), cache) {
                 Ok((trace, conditions, plan)) => {
                     prepared.push((action, trace, conditions, plan));
                 }
@@ -423,6 +412,11 @@ impl UFilter {
                 });
                 continue;
             }
+            if let Some((tab, rows)) = plan.tab().filter(|_| apply) {
+                // The executed statements read the context rows as a real
+                // table (§6.1); a check binds them instead.
+                db.materialize(tab, rows);
+            }
             let report: DataCheckReport = match self.config.strategy {
                 Strategy::Outside => datacheck::run_outside(db, &plan, apply),
                 Strategy::Hybrid => datacheck::run_hybrid(db, &plan, apply),
@@ -464,7 +458,7 @@ impl UFilter {
     fn prepare_action(
         &self,
         action: &ResolvedAction,
-        db: Option<&mut Db>,
+        db: Option<&Db>,
         cache: &mut ProbeCache,
     ) -> Result<
         (
@@ -567,26 +561,17 @@ impl UFilter {
         };
 
         // 3a. Update context check (§6.1). Only the outside and internal
-        // strategies materialize the probe result (the hybrid strategy
-        // "does not materialize the intermediate result", §7.2).
-        let materialize_tab = self.config.strategy != Strategy::Hybrid;
-        let (context_probe, context_rows, tab_name) =
-            match self.context_check(action, db, &mut trace, materialize_tab, cache) {
-                Ok(x) => x,
-                Err(outcome) => return Err(CheckReport { trace, outcome }),
-            };
+        // strategies keep the probe result as `TAB_<tag>` (the hybrid
+        // strategy "does not materialize the intermediate result", §7.2).
+        let use_tab = self.config.strategy != Strategy::Hybrid;
+        let context = match self.context_check(action, db, &mut trace, use_tab, cache) {
+            Ok(x) => x,
+            Err(outcome) => return Err(CheckReport { trace, outcome }),
+        };
 
         // Build the translation plan.
         let span = obs::clock();
-        let planned = build_plan(
-            &self.asg,
-            &self.marking,
-            &self.schema,
-            action,
-            context_probe,
-            &context_rows,
-            tab_name,
-        );
+        let planned = build_plan(&self.asg, &self.marking, &self.schema, action, context);
         obs::stage_elapsed(Stage::Translate, span);
         let plan = match planned {
             Ok(p) => p,
@@ -603,22 +588,21 @@ impl UFilter {
         Ok((trace, conditions, Some(plan)))
     }
 
-    /// The §6.1 update-context check. Returns the probe, its rows (header +
-    /// row pairs) and the materialized table name.
-    #[allow(clippy::type_complexity)]
+    /// The §6.1 update-context check: the probe and its (cached) rows,
+    /// named `TAB_<tag>` when `use_tab`; `None` for the view root. Reads
+    /// `db` only: nothing is materialized here.
     fn context_check(
         &self,
         action: &ResolvedAction,
-        db: &mut Db,
+        db: &Db,
         trace: &mut Vec<(CheckStep, String)>,
-        materialize: bool,
+        use_tab: bool,
         cache: &mut ProbeCache,
-    ) -> Result<(Option<Select>, Vec<(Vec<ufilter_rdb::ColRef>, Row)>, Option<String>), CheckOutcome>
-    {
+    ) -> Result<Option<PlanContext>, CheckOutcome> {
         let ctx = self.asg.node(action.context_node);
         if ctx.kind == AsgNodeKind::Root {
             trace.push((CheckStep::DataContext, "context is the view root".into()));
-            return Ok((None, Vec::new(), None));
+            return Ok(None);
         }
         // Prefer the deepest path that covers every update predicate: the
         // user's FOR clause binds variables down to the predicate-bearing
@@ -640,11 +624,10 @@ impl UFilter {
         }
         let preds = datacheck::relevant_preds(&info, &action.predicates);
         let probe = build_probe(&self.schema, &info, &preds, &SelectSpec::Keys);
-        let (rs, cache_hit) =
-            cache.get_or_fetch(&probe.to_string(), || db.query(&probe)).map_err(|e| {
-                CheckOutcome::Untranslatable { step: CheckStep::DataContext, reason: e.to_string() }
-            })?;
-        if rs.is_empty() {
+        let rows = cache.get_or_fetch(probe.to_string(), || db.query(&probe)).map_err(|e| {
+            CheckOutcome::Untranslatable { step: CheckStep::DataContext, reason: e.to_string() }
+        })?;
+        if rows.is_empty() {
             let reason = format!(
                 "the <{}> element the update addresses does not exist in the view",
                 ctx.tag
@@ -654,33 +637,10 @@ impl UFilter {
         }
         trace.push((
             CheckStep::DataContext,
-            format!("context probe matched {} instance(s) of <{}>", rs.len(), ctx.tag),
+            format!("context probe matched {} instance(s) of <{}>", rows.len(), ctx.tag),
         ));
-        // Materialize for reuse (the paper's TAB_book) when requested. A
-        // cache hit alone is not enough to skip the work: a different probe
-        // may have overwritten `TAB_<tag>` in between, so only reuse the
-        // table while it still holds this probe's result.
-        let tab = if materialize {
-            let name = format!("TAB_{}", ctx.tag);
-            let sql = probe.to_string();
-            if !(cache_hit && cache.materialized.get(&name) == Some(&sql)) {
-                // Only record freshness on success — a failed materialize
-                // must not make later items trust a stale table (the error
-                // itself stays non-fatal, as before: the plan's probes
-                // will surface it).
-                if db.materialize(&name, &probe).is_ok() {
-                    cache.materialized.insert(name.clone(), sql);
-                } else {
-                    cache.materialized.remove(&name);
-                }
-            }
-            Some(name)
-        } else {
-            None
-        };
-        let rows: Vec<(Vec<ufilter_rdb::ColRef>, Row)> =
-            rs.rows.into_iter().map(|r| (rs.columns.clone(), r)).collect();
-        Ok((Some(probe), rows, tab))
+        let tab = use_tab.then(|| format!("TAB_{}", ctx.tag));
+        Ok(Some(PlanContext { probe, rows, tab }))
     }
 }
 

@@ -168,8 +168,6 @@ fn blind_translate_and_run(
                 &filter.schema,
                 action,
                 None,
-                &[],
-                None,
             )
             .map_err(|o| o.to_string())?;
             for planned in &plan.statements {

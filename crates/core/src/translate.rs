@@ -14,9 +14,12 @@
 //! duplication consistency (u4), and emit plain single-table INSERTs.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use ufilter_asg::{AsgNodeId, AsgNodeKind, ViewAsg};
-use ufilter_rdb::{ColRef, DatabaseSchema, Delete, Expr, Insert, Row, Select, Stmt, Update, Value};
+use ufilter_rdb::{
+    ColRef, DatabaseSchema, Delete, Expr, Insert, ResultSet, Row, Select, Stmt, Update, Value,
+};
 use ufilter_xml::{Document, NodeId};
 use ufilter_xquery::UpdateKind;
 
@@ -67,13 +70,23 @@ pub struct PlannedStmt {
     pub relation: String,
 }
 
+/// The update context (§6.1) a plan is built against.
+#[derive(Debug, Clone)]
+pub struct PlanContext {
+    /// The context probe.
+    pub probe: Select,
+    /// Its result, shared with the probe cache that answered it.
+    pub rows: Arc<ResultSet>,
+    /// The name translated SQL reads `rows` under (`TAB_book` in the
+    /// paper); `None` when the SQL inlines the probe instead (hybrid).
+    pub tab: Option<String>,
+}
+
 /// The full translation plan for one action.
 #[derive(Debug, Clone)]
 pub struct TranslationPlan {
-    /// Context probe (§6.1); `None` when the context is the view root.
-    pub context_probe: Option<Select>,
-    /// Materialized-probe table name (`TAB_book` in the paper).
-    pub tab_name: Option<String>,
+    /// The update context; `None` when the context is the view root.
+    pub context: Option<PlanContext>,
     /// Refined-mode shared-data conditions to discharge (Observation 2).
     pub shared_checks: Vec<SharedCheck>,
     /// Reject-if-nonempty probes evaluated before any statement runs.
@@ -89,6 +102,16 @@ impl TranslationPlan {
     pub fn sql(&self) -> Vec<Stmt> {
         self.statements.iter().map(|p| p.stmt.clone()).collect()
     }
+
+    /// The context rows under the `TAB_<tag>` name the translated SQL
+    /// reads them by, if it does: a check-only run binds them to its
+    /// probes ([`Db::query_with`]), and `apply` materializes them.
+    ///
+    /// [`Db::query_with`]: ufilter_rdb::Db::query_with
+    pub fn tab(&self) -> Option<(&str, &ResultSet)> {
+        let ctx = self.context.as_ref()?;
+        Some((ctx.tab.as_deref()?, &ctx.rows))
+    }
 }
 
 /// Failure during plan construction → final outcome.
@@ -98,27 +121,27 @@ fn untranslatable(step: CheckStep, reason: impl Into<String>) -> CheckOutcome {
     CheckOutcome::Untranslatable { step, reason: reason.into() }
 }
 
-/// Build the plan. `context_rows` are the results of the already-executed
-/// context probe (empty slice when the context is the root).
+/// Build the plan against the already-probed update context (`None` when
+/// the context is the root).
 pub fn build_plan(
     asg: &ViewAsg,
     marking: &StarMarking,
     schema: &DatabaseSchema,
     action: &ResolvedAction,
-    context_probe: Option<Select>,
-    context_rows: &[(Vec<ColRef>, Row)],
-    tab_name: Option<String>,
+    context: Option<PlanContext>,
 ) -> PlanResult {
+    let context_rows = context.as_ref().map(|c| Arc::clone(&c.rows));
     let mut plan = TranslationPlan {
-        context_probe,
-        tab_name,
+        context,
         shared_checks: Vec::new(),
         preconditions: Vec::new(),
         statements: Vec::new(),
         notes: Vec::new(),
     };
-    let ctx_cols: Vec<ColRef> =
-        context_rows.first().map(|(cols, _)| cols.clone()).unwrap_or_default();
+    let ctx_cols: Vec<ColRef> = match &context_rows {
+        Some(rs) if !rs.is_empty() => rs.columns.clone(),
+        _ => Vec::new(),
+    };
     let is_value_target =
         matches!(asg.node(action.node).kind, AsgNodeKind::Tag | AsgNodeKind::Leaf);
     match action.kind {
@@ -135,7 +158,7 @@ pub fn build_plan(
             plan_value_insert(asg, schema, action, &mut plan)?;
         }
         UpdateKind::Insert => {
-            plan_insert(asg, marking, schema, action, context_rows, &mut plan)?;
+            plan_insert(asg, marking, schema, action, context_rows.as_deref(), &mut plan)?;
         }
     }
     Ok(plan)
@@ -243,9 +266,9 @@ fn emit_anchor_delete(
 
     // Preferred translation: key the delete on the parent link, like the
     // paper's U3 — `DELETE FROM anchor WHERE link_col IN (SELECT parent_col
-    // FROM …)`. The outside strategy's inner SELECT ranges over the
-    // materialized TAB (unindexed, §7.2); the hybrid strategy inlines the
-    // context join itself (indexed), materializing nothing.
+    // FROM …)`. The outside strategy's inner SELECT ranges over TAB_<tag>,
+    // the context rows (bound in a check, an unindexed table under apply,
+    // §7.2); the hybrid strategy inlines the context join itself (indexed).
     // Requires every update predicate to be covered: applied by the context
     // probe, or constraining the anchor relation directly (conjoined here).
     let ctx_rel = |t: &str| ctx_cols.iter().any(|c| c.table.eq_ignore_ascii_case(t));
@@ -260,17 +283,18 @@ fn emit_anchor_delete(
         .all(|(c, _, _)| ctx_rel(&c.table) || c.table.eq_ignore_ascii_case(&anchor));
     if all_covered {
         if let Some((anchor_col, parent)) = tab_link(asg, schema, node, &anchor, ctx_cols) {
-            let inner: Option<Select> = if let Some(tab) = &plan.tab_name {
+            let inner: Option<Select> = if let Some((tab, _)) = plan.tab() {
                 Some(Select::new(
                     vec![ufilter_rdb::SelectItem::Expr {
                         expr: Expr::col("", parent.column.clone()),
                         alias: None,
                     }],
-                    vec![ufilter_rdb::FromItem::Table(ufilter_rdb::TableRef::named(tab.clone()))],
+                    vec![ufilter_rdb::FromItem::Table(ufilter_rdb::TableRef::named(tab))],
                     None,
                 ))
             } else {
-                plan.context_probe.as_ref().map(|cp| {
+                plan.context.as_ref().map(|ctx| {
+                    let cp = &ctx.probe;
                     Select::new(
                         vec![ufilter_rdb::SelectItem::Expr {
                             expr: Expr::Column(parent.clone()),
@@ -543,13 +567,15 @@ fn plan_insert(
     marking: &StarMarking,
     schema: &DatabaseSchema,
     action: &ResolvedAction,
-    context_rows: &[(Vec<ColRef>, Row)],
+    context_rows: Option<&ResultSet>,
     plan: &mut TranslationPlan,
 ) -> Result<(), CheckOutcome> {
     let frag = action.fragment.as_ref().expect("insert carries a fragment");
     // One insert group per matched context instance (root context → one).
-    let contexts: Vec<Option<&(Vec<ColRef>, Row)>> =
-        if context_rows.is_empty() { vec![None] } else { context_rows.iter().map(Some).collect() };
+    let contexts: Vec<Option<(&[ColRef], &Row)>> = match context_rows {
+        Some(rs) if !rs.is_empty() => rs.rows.iter().map(|r| Some((&rs.columns[..], r))).collect(),
+        _ => vec![None],
+    };
     for ctx in contexts {
         emit_insert_group(asg, marking, schema, action.node, frag, frag.root(), ctx, plan)?;
     }
@@ -564,7 +590,7 @@ fn emit_insert_group(
     node: AsgNodeId,
     frag: &Document,
     el: NodeId,
-    ctx: Option<&(Vec<ColRef>, Row)>,
+    ctx: Option<(&[ColRef], &Row)>,
     plan: &mut TranslationPlan,
 ) -> Result<(), CheckOutcome> {
     // 1. Collect leaf values for the non-starred subtree of `node`.
@@ -858,7 +884,7 @@ fn emit_insert_group(
             child_node,
             frag,
             child_el,
-            Some(&(cols, row)),
+            Some((&cols, &row)),
             plan,
         )?;
     }
@@ -975,15 +1001,13 @@ mod tests {
 
     fn plan_for(update: &str) -> TranslationPlan {
         let f = bookdemo::book_filter();
-        let mut db = bookdemo::book_db();
+        let db = bookdemo::book_db();
         let u = ufilter_xquery::parse_update(update).unwrap();
         let actions = resolve(&f.asg, &u).unwrap();
         // Execute the context probe the way the pipeline does.
         let action = &actions[0];
         let ctx = f.asg.node(action.context_node);
-        let (probe, rows, tab) = if ctx.kind == AsgNodeKind::Root {
-            (None, Vec::new(), None)
-        } else {
+        let context = (ctx.kind != AsgNodeKind::Root).then(|| {
             let info = crate::probe::path_info(&f.asg, action.context_node);
             let probe = crate::probe::build_probe(
                 &f.schema,
@@ -991,14 +1015,10 @@ mod tests {
                 &crate::datacheck::relevant_preds(&info, &action.predicates),
                 &crate::probe::SelectSpec::Keys,
             );
-            let rs = db.query(&probe).unwrap();
-            let tab = format!("TAB_{}", ctx.tag);
-            db.materialize(&tab, &probe).unwrap();
-            let rows: Vec<(Vec<ColRef>, Row)> =
-                rs.rows.into_iter().map(|r| (rs.columns.clone(), r)).collect();
-            (Some(probe), rows, Some(tab))
-        };
-        build_plan(&f.asg, &f.marking, &f.schema, action, probe, &rows, tab).unwrap()
+            let rows = Arc::new(db.query(&probe).unwrap());
+            PlanContext { probe, rows, tab: Some(format!("TAB_{}", ctx.tag)) }
+        });
+        build_plan(&f.asg, &f.marking, &f.schema, action, context).unwrap()
     }
 
     #[test]
@@ -1068,7 +1088,7 @@ mod tests {
         // (title twice violates cardinality at validation; here we call the
         // planner directly to exercise its own guard with equal values —
         // equal duplicates are tolerated.)
-        let plan = build_plan(&f.asg, &f.marking, &f.schema, &actions[0], None, &[], None);
+        let plan = build_plan(&f.asg, &f.marking, &f.schema, &actions[0], None);
         assert!(plan.is_ok());
     }
 
@@ -1092,7 +1112,7 @@ mod tests {
         )
         .unwrap();
         let actions = resolve(&f.asg, &u).unwrap();
-        let plan = build_plan(&f.asg, &f.marking, &f.schema, &actions[0], None, &[], None).unwrap();
+        let plan = build_plan(&f.asg, &f.marking, &f.schema, &actions[0], None).unwrap();
         let tables: Vec<&str> = plan
             .statements
             .iter()

@@ -4,7 +4,9 @@
 //! matched rows on `bookid` alone would rewrite or delete the sibling review
 //! too, and Definition 1's rectangle would fail with a side effect.
 
-use ufilter_core::{apply_and_verify, bookdemo, RectangleVerdict, UFilter};
+use ufilter_core::{
+    apply_and_verify, bookdemo, RectangleVerdict, Strategy, UFilter, UFilterConfig,
+};
 
 /// An update addressing review `id` of the flat review view, applying
 /// `action` to it as `$x`.
@@ -28,21 +30,26 @@ UPDATE $root {{ DELETE $r }}"#
 
 #[test]
 fn composite_key_translations_leave_sibling_rows_alone() {
-    let reviews = UFilter::compile(bookdemo::REVIEWS_ALL, &bookdemo::book_schema()).unwrap();
-    let books = bookdemo::book_filter();
-    let cases = [
-        (&reviews, on_review("001", "REPLACE $x/comment WITH <comment>changed</comment>")),
-        (&reviews, on_review("001", "DELETE $x/comment")),
-        (&reviews, on_review("001", "DELETE $x/reviewer")),
-        (&reviews, delete_review("001", "review")),
-        (&books, delete_review("002", "book/review")),
-    ];
-    for (filter, update) in cases {
-        let mut db = bookdemo::book_db();
-        let (accepted, verdict) = apply_and_verify(filter, &update, &mut db).unwrap();
-        assert!(accepted, "checker rejected:\n{update}");
-        assert_eq!(verdict, Some(RectangleVerdict::Holds), "{update}");
-        let reviews = db.query_sql("SELECT reviewid FROM review").unwrap();
-        assert_eq!(reviews.rows.len(), if update.contains("DELETE $r") { 1 } else { 2 });
+    for strategy in [Strategy::Outside, Strategy::Hybrid, Strategy::Internal] {
+        let config = UFilterConfig { strategy, ..UFilterConfig::default() };
+        let reviews = UFilter::compile(bookdemo::REVIEWS_ALL, &bookdemo::book_schema())
+            .unwrap()
+            .with_config(config);
+        let books = bookdemo::book_filter().with_config(config);
+        let cases = [
+            (&reviews, on_review("001", "REPLACE $x/comment WITH <comment>changed</comment>")),
+            (&reviews, on_review("001", "DELETE $x/comment")),
+            (&reviews, on_review("001", "DELETE $x/reviewer")),
+            (&reviews, delete_review("001", "review")),
+            (&books, delete_review("002", "book/review")),
+        ];
+        for (filter, update) in cases {
+            let mut db = bookdemo::book_db();
+            let (accepted, verdict) = apply_and_verify(filter, &update, &mut db).unwrap();
+            assert!(accepted, "checker rejected under {strategy:?}:\n{update}");
+            assert_eq!(verdict, Some(RectangleVerdict::Holds), "{strategy:?}: {update}");
+            let reviews = db.query_sql("SELECT reviewid FROM review").unwrap();
+            assert_eq!(reviews.rows.len(), if update.contains("DELETE $r") { 1 } else { 2 });
+        }
     }
 }

@@ -36,7 +36,7 @@ use ufilter_core::wire::{self, encode_outcome};
 use ufilter_core::{
     apply_and_verify, CheckReport, ProbeCache, RectangleVerdict, Target, ViewCatalog,
 };
-use ufilter_rdb::{Db, Row};
+use ufilter_rdb::Db;
 use ufilter_service::proto::check_request;
 use ufilter_service::{CheckServer, ShardedCatalog};
 
@@ -188,13 +188,6 @@ pub fn report_line(reports: &[CheckReport]) -> String {
     reports.iter().map(|r| encode_outcome(&r.outcome)).collect::<Vec<_>>().join("\t")
 }
 
-/// Dump only the user tables (checks materialize `TAB_…` scratch tables
-/// into their working database; those are not part of the data the oracle
-/// compares).
-fn user_dump(db: &Db, tables: &[String]) -> BTreeMap<String, Vec<Row>> {
-    db.dump().into_iter().filter(|(name, _)| tables.iter().any(|t| t == name)).collect()
-}
-
 /// Run one plan through the full oracle. `Err` is the first divergence.
 pub fn run_raw(plan: &RawPlan, opts: &OracleOptions) -> Result<RunStats, Divergence> {
     let gen_err = |detail: String| Divergence {
@@ -209,8 +202,7 @@ pub fn run_raw(plan: &RawPlan, opts: &OracleOptions) -> Result<RunStats, Diverge
     let mut db = Db::new();
     db.execute_script(&plan.schema_sql).map_err(|e| gen_err(format!("schema script: {e}")))?;
     let schema = db.schema().clone();
-    let tables: Vec<String> = schema.tables.iter().map(|t| t.name.clone()).collect();
-    let base_dump = user_dump(&db, &tables);
+    let base_dump = db.dump();
 
     // Surface 1+2+3 host: the catalog.
     let mut catalog = ViewCatalog::new(schema.clone());
@@ -279,9 +271,10 @@ pub fn run_raw(plan: &RawPlan, opts: &OracleOptions) -> Result<RunStats, Diverge
             if direct != second {
                 return Err(fail("nondeterminism", format!("first:  {direct}\nsecond: {second}")));
             }
-            // Checking must not touch user tables.
-            if user_dump(&da, &tables) != base_dump {
-                return Err(fail("check-mutates", "direct check changed user tables".into()));
+            // Checking must not touch the database: no user-table change
+            // and no `TAB_` table.
+            if da.dump() != base_dump {
+                return Err(fail("check-mutates", "direct check changed the database".into()));
             }
 
             let direct_m = mutate(Surface::Direct, &direct);
@@ -374,7 +367,7 @@ pub fn run_raw(plan: &RawPlan, opts: &OracleOptions) -> Result<RunStats, Diverge
                     }
                 }
                 adb.restore(&snap);
-                if user_dump(&adb, &tables) != base_dump {
+                if adb.dump() != base_dump {
                     return Err(fail(
                         "snapshot-restore",
                         "restore did not return the database to its snapshot".into(),

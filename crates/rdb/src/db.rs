@@ -3,6 +3,7 @@
 
 use std::cell::Cell;
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use crate::error::{RdbError, Result, Warning};
 use crate::exec::{self, ResultSet};
@@ -90,10 +91,15 @@ impl ExecOutcome {
 }
 
 /// An in-memory relational database.
+///
+/// Each table's [`TableData`] sits behind an `Arc`, so a clone (and a
+/// [`snapshot`](Db::snapshot)) shares the storage of every table and copies
+/// a table only when it first writes to it: the physical-write helpers go
+/// through `Arc::make_mut`. A clone that only reads copies nothing.
 #[derive(Clone)]
 pub struct Db {
     schema: DatabaseSchema,
-    data: HashMap<String, TableData>,
+    data: HashMap<String, Arc<TableData>>,
     views: HashMap<String, CreateView>,
     txn: Option<UndoLog>,
     planner: PlannerConfig,
@@ -129,7 +135,12 @@ impl Db {
     }
 
     pub fn table_data(&self, name: &str) -> Option<&TableData> {
-        self.data.get(&name.to_ascii_lowercase())
+        self.data.get(&name.to_ascii_lowercase()).map(Arc::as_ref)
+    }
+
+    /// Writable storage of `table`, copied first if a clone still shares it.
+    fn table_data_mut(&mut self, table: &str) -> Option<&mut TableData> {
+        self.data.get_mut(&table.to_ascii_lowercase()).map(Arc::make_mut)
     }
 
     pub fn view_def(&self, name: &str) -> Option<&CreateView> {
@@ -219,7 +230,7 @@ impl Db {
                 ));
             }
         }
-        self.data.insert(key, data);
+        self.data.insert(key, Arc::new(data));
         self.schema.add(table);
         Ok(())
     }
@@ -273,42 +284,43 @@ impl Db {
         Ok(())
     }
 
-    /// Materialize a query result as a plain table **without indexes or
-    /// constraints** — the probe-result tables (`TAB_book` in §6.1) that the
-    /// outside strategy joins against.
-    pub fn materialize(&mut self, name: &str, select: &Select) -> Result<usize> {
-        let rs = self.query(select)?;
+    /// Materialize a probe result as a plain table **without indexes or
+    /// constraints**, replacing any table of that name: the probe-result
+    /// tables (`TAB_book` in §6.1) a translated statement reads when it is
+    /// executed. Only `apply` runs need this; a check-only run binds the
+    /// rows with [`query_with`](Self::query_with) and writes nothing.
+    /// Columns are named by [`ResultSet::table_columns`], rows keep their
+    /// order, and each row's `rowid` is its position. Returns the row count.
+    pub fn materialize(&mut self, name: &str, rows: &ResultSet) -> usize {
         let mut table = TableSchema::new(name);
-        let mut seen: HashMap<String, usize> = HashMap::new();
-        for (i, c) in rs.columns.iter().enumerate() {
-            let mut col_name = c.column.clone();
-            let n = seen.entry(col_name.to_ascii_lowercase()).or_insert(0);
-            *n += 1;
-            if *n > 1 {
-                col_name = format!("{col_name}_{n}");
-            }
-            let ty = rs.rows.iter().find_map(|r| r[i].data_type()).unwrap_or(DataType::Str);
+        for (i, col_name) in rows.table_columns().into_iter().enumerate() {
+            let ty = rows.rows.iter().find_map(|r| r[i].data_type()).unwrap_or(DataType::Str);
             table = table.column(Column::new(col_name, ty));
         }
-        let key = name.to_ascii_lowercase();
-        if self.data.contains_key(&key) {
-            self.drop_table(name)?;
-        }
-        let count = rs.rows.len();
+        let _ = self.drop_table(name);
         // No indexes: insert straight into the heap.
         let mut data = TableData::default();
-        for row in rs.rows {
-            data.heap.insert(row);
+        for row in &rows.rows {
+            data.heap.insert(row.clone());
         }
-        self.data.insert(key, data);
+        self.data.insert(name.to_ascii_lowercase(), Arc::new(data));
         self.schema.add(table);
-        Ok(count)
+        rows.len()
     }
 
     // ---- queries ----------------------------------------------------------
 
     pub fn query(&self, select: &Select) -> Result<ResultSet> {
-        exec::run_select(self, select)
+        exec::run_select(self, select, &[])
+    }
+
+    /// Run `select` with each `(name, rows)` binding readable as a table:
+    /// `FROM name` resolves to the bound rows before the catalog is
+    /// consulted, with the columns and `rowid`s
+    /// [`materialize`](Self::materialize) would give them. Nothing is
+    /// written — this is how a check-only run reads `TAB_<tag>` (§6.1).
+    pub fn query_with(&self, select: &Select, bound: &[(&str, &ResultSet)]) -> Result<ResultSet> {
+        exec::run_select(self, select, bound)
     }
 
     pub fn query_sql(&self, sql: &str) -> Result<ResultSet> {
@@ -344,7 +356,7 @@ impl Db {
                 Ok(ExecOutcome { affected: rs.len(), result: Some(rs), warnings: Vec::new() })
             }
             Stmt::Explain(s) => {
-                let plan = exec::plan_select(self, &s)?;
+                let plan = exec::plan_select(self, &s, &[])?;
                 let rows: Vec<Row> = plan.explain().lines().map(|l| vec![Value::str(l)]).collect();
                 let rs = ResultSet { columns: vec![ColRef::new("", "plan")], rows };
                 Ok(ExecOutcome { affected: rs.len(), result: Some(rs), warnings: Vec::new() })
@@ -454,8 +466,9 @@ impl Db {
             .table(table)
             .map(|t| t.name.clone())
             .ok_or_else(|| RdbError::NoSuchTable(table.to_string()))?;
-        let data = self.data.get_mut(&table.to_ascii_lowercase()).expect("data for table");
-        for ix in &data.indexes {
+        // Check the keys before taking the storage for writing, so a
+        // rejected insert never copies a shared table.
+        for ix in &self.table_data(table).expect("data for table").indexes {
             let key = ix.key_of(&row);
             if ix.conflicts(&key) {
                 let rendered: Vec<String> = key.iter().map(|v| v.to_string()).collect();
@@ -466,6 +479,7 @@ impl Db {
                 });
             }
         }
+        let data = self.table_data_mut(table).expect("data for table");
         let rid = data.heap.insert(row.clone());
         for ix in &mut data.indexes {
             let key = ix.key_of(&row);
@@ -475,7 +489,7 @@ impl Db {
     }
 
     fn phys_delete_unchecked(&mut self, table: &str, rid: RowId) -> Option<Row> {
-        let data = self.data.get_mut(&table.to_ascii_lowercase())?;
+        let data = self.table_data_mut(table)?;
         let row = data.heap.delete(rid)?;
         for ix in &mut data.indexes {
             let key = ix.key_of(&row);
@@ -485,7 +499,7 @@ impl Db {
     }
 
     fn phys_restore(&mut self, table: &str, rid: RowId, row: Row) {
-        let data = self.data.get_mut(&table.to_ascii_lowercase()).expect("table exists");
+        let data = self.table_data_mut(table).expect("table exists");
         data.heap.restore(rid, row.clone());
         for ix in &mut data.indexes {
             let key = ix.key_of(&row);
@@ -494,7 +508,7 @@ impl Db {
     }
 
     fn phys_overwrite(&mut self, table: &str, rid: RowId, new: Row) -> Option<Row> {
-        let data = self.data.get_mut(&table.to_ascii_lowercase())?;
+        let data = self.table_data_mut(table)?;
         let old = data.heap.update(rid, new.clone())?;
         for ix in &mut data.indexes {
             let old_key = ix.key_of(&old);
@@ -1025,12 +1039,25 @@ impl Db {
 
     // ---- snapshot / restore (execute-compare harnesses) -----------------------
 
+    /// A clone that owns a private copy of every table from the start. For
+    /// timing harnesses: a write to a plain clone pays for copying its
+    /// table, inside the timed region.
+    pub fn deep_clone(&self) -> Db {
+        let mut copy = self.clone();
+        for table in copy.data.values_mut() {
+            *table = Arc::new(TableData::clone(table));
+        }
+        copy
+    }
+
     /// Capture a point-in-time copy of the whole database: schema, table
-    /// heaps, indexes, views, and planner configuration. Snapshots taken
-    /// from equal databases are equal (heap row-ids and index layout are
-    /// copied verbatim), so `snapshot → mutate → restore → snapshot` yields
-    /// a byte-stable state — the rollback primitive differential harnesses
-    /// use around execute-recompute-compare runs.
+    /// heaps, indexes, views, and planner configuration. The copy is a
+    /// copy-on-write clone: it shares every table's storage until one side
+    /// writes that table, so taking one costs no table copy. Snapshots
+    /// taken from equal databases are equal (heap row-ids and index layout
+    /// are kept verbatim), so `snapshot → mutate → restore → snapshot`
+    /// yields a byte-stable state — the rollback primitive differential
+    /// harnesses use around execute-recompute-compare runs.
     ///
     /// An open transaction's undo log is deliberately *not* captured:
     /// restoring into the middle of someone else's transaction would make
@@ -1164,5 +1191,145 @@ mod script_tests {
         db.restore(&snap);
         assert!(!db.in_transaction());
         assert_eq!(db.dump(), before);
+    }
+}
+
+#[cfg(test)]
+mod cow_tests {
+    use super::*;
+
+    /// `p` (two rows) referenced by `c` (two rows, CASCADE), plus an
+    /// unrelated table `u`.
+    fn sample() -> Db {
+        let mut db = Db::new();
+        db.execute_script(
+            "CREATE TABLE p(a INT, b VARCHAR2(10), CONSTRAINTS PPK PRIMARYKEY (a)); \
+             CREATE TABLE c(x INT, a INT, CONSTRAINTS CPK PRIMARYKEY (x), \
+                 FOREIGNKEY (a) REFERENCES p (a) ON DELETE CASCADE); \
+             CREATE TABLE u(k INT, CONSTRAINTS UPK PRIMARYKEY (k)); \
+             INSERT INTO p VALUES (1, 'one'); INSERT INTO p VALUES (2, 'two'); \
+             INSERT INTO c VALUES (10, 1); INSERT INTO c VALUES (20, 2); \
+             INSERT INTO u VALUES (7);",
+        )
+        .unwrap();
+        db
+    }
+
+    fn shared(a: &Db, b: &Db, table: &str) -> bool {
+        Arc::ptr_eq(&a.data[table], &b.data[table])
+    }
+
+    #[test]
+    fn a_clone_shares_every_table_until_it_writes() {
+        let db = sample();
+        let mut copy = db.clone();
+        for table in ["p", "c", "u"] {
+            assert!(shared(&db, &copy, table), "{table} copied by clone");
+        }
+        copy.query_sql("SELECT * FROM p, c WHERE p.a = c.a").unwrap();
+        assert!(shared(&db, &copy, "p"), "a read copied p");
+        copy.execute_sql("UPDATE p SET b = 'uno' WHERE a = 1").unwrap();
+        assert!(!shared(&db, &copy, "p"), "a write left p shared");
+        assert!(shared(&db, &copy, "c") && shared(&db, &copy, "u"), "unwritten tables copied");
+        // A rejected insert (key conflict) copies nothing either.
+        let mut other = db.clone();
+        assert!(other.execute_sql("INSERT INTO u VALUES (7)").is_err());
+        assert!(shared(&db, &other, "u"));
+        // A deep clone owns every table from the start.
+        let deep = db.deep_clone();
+        assert!(["p", "c", "u"].iter().all(|t| !shared(&db, &deep, t)));
+        assert_eq!(deep.dump(), db.dump());
+    }
+
+    #[test]
+    fn writes_on_either_side_never_reach_the_other() {
+        let statements = [
+            "INSERT INTO p VALUES (3, 'three')",
+            "DELETE FROM p WHERE a = 1",
+            "UPDATE p SET b = 'deux' WHERE a = 2",
+            "INSERT INTO u VALUES (8)",
+        ];
+        for sql in statements {
+            let mut db = sample();
+            let before = db.dump();
+            let mut copy = db.clone();
+            copy.execute_sql(sql).unwrap();
+            assert_ne!(copy.dump(), before, "{sql} changed nothing");
+            assert_eq!(db.dump(), before, "{sql} on the clone reached the original");
+            // And the reverse: the original writes, the clone keeps its state.
+            let copy_state = copy.dump();
+            let mut copy2 = db.clone();
+            db.execute_sql(sql).unwrap();
+            assert_eq!(copy2.dump(), before, "{sql} on the original reached a clone");
+            copy2.execute_sql("DELETE FROM c WHERE x = 20").unwrap();
+            assert_eq!(copy.dump(), copy_state);
+        }
+        // A cascade writes both p and c on the clone only.
+        let db = sample();
+        let before = db.dump();
+        let mut copy = db.clone();
+        copy.execute_sql("DELETE FROM p WHERE a = 2").unwrap();
+        assert_eq!(copy.row_count("c"), 1);
+        assert_eq!(db.dump(), before);
+    }
+
+    #[test]
+    fn a_rolled_back_transaction_on_a_clone_leaves_both_sides_unchanged() {
+        let db = sample();
+        let before = db.dump();
+        let mut copy = db.clone();
+        copy.begin().unwrap();
+        copy.execute_script(
+            "INSERT INTO p VALUES (3, 'three'); DELETE FROM p WHERE a = 1; \
+             UPDATE u SET k = 9 WHERE k = 7;",
+        )
+        .unwrap();
+        assert_ne!(copy.dump(), before);
+        copy.rollback().unwrap();
+        assert_eq!(copy.dump(), before);
+        assert_eq!(db.dump(), before);
+    }
+
+    #[test]
+    fn snapshot_shares_storage_and_restores_byte_stable() {
+        let mut db = sample();
+        let snap = db.snapshot().unwrap();
+        assert!(["p", "c", "u"].iter().all(|t| shared(&db, &snap.db, t)));
+        let before = db.dump();
+        db.execute_script("DELETE FROM p WHERE a = 1; INSERT INTO u VALUES (8);").unwrap();
+        assert!(!shared(&db, &snap.db, "c"), "the cascade wrote c");
+        db.restore(&snap);
+        assert_eq!(db.dump(), before);
+        let again = db.snapshot().unwrap();
+        assert_eq!(again.db.dump(), snap.db.dump());
+        // Restoring shares the snapshot's storage again.
+        assert!(["p", "c", "u"].iter().all(|t| shared(&db, &snap.db, t)));
+    }
+
+    #[test]
+    fn bound_rows_read_like_their_materialized_table() {
+        let mut db = sample();
+        let rows = db.query_sql("SELECT p.a, c.a, p.b FROM p, c WHERE p.a = c.a").unwrap();
+        assert_eq!(rows.table_columns(), ["a", "a_2", "b"]);
+        let queries = [
+            "SELECT * FROM TAB_p",
+            "SELECT a_2, rowid FROM TAB_p WHERE b = 'two'",
+            "SELECT x FROM c WHERE c.a IN (SELECT a FROM TAB_p)",
+            "SELECT t.rowid, c.x FROM TAB_p t, c WHERE t.a = c.a",
+        ];
+        let before = db.dump();
+        let bound: Vec<_> = queries
+            .iter()
+            .map(|q| {
+                let sel = Parser::parse_select(q).unwrap();
+                db.query_with(&sel, &[("TAB_p", &rows)]).unwrap()
+            })
+            .collect();
+        assert_eq!(db.dump(), before, "a bound query wrote");
+        assert!(db.query_sql("SELECT * FROM TAB_p").is_err(), "the binding outlived its query");
+        assert_eq!(db.materialize("TAB_p", &rows), 2);
+        for (q, expected) in queries.iter().zip(bound) {
+            assert_eq!(db.query_sql(q).unwrap(), expected, "{q}");
+        }
     }
 }

@@ -4,7 +4,8 @@
 //! nested-loop joins when the inner side has a matching index, hash joins
 //! for other equi-joins, nested loops otherwise) and follows explicit
 //! `[LEFT] JOIN … ON` trees as written. Views referenced in `FROM` are
-//! inlined as derived tables.
+//! inlined as derived tables, and so are rows bound to a name for one query
+//! ([`Db::query_with`]), which shadow the catalog.
 //!
 //! The index/no-index distinction is load-bearing for the evaluation:
 //! Fig. 16's gap between the *hybrid* and *outside* strategies comes from
@@ -56,6 +57,25 @@ impl ResultSet {
             Some(i) => self.rows.iter().map(|r| r[i].clone()).collect(),
             None => Vec::new(),
         }
+    }
+
+    /// The column names this result has as a table, materialized
+    /// ([`Db::materialize`]) or bound ([`Db::query_with`]): each column's
+    /// unqualified name, its `n`-th repeat (ignoring case) suffixed `_n`.
+    pub fn table_columns(&self) -> Vec<String> {
+        let mut seen: HashMap<String, usize> = HashMap::new();
+        self.columns
+            .iter()
+            .map(|c| {
+                let n = seen.entry(c.column.to_ascii_lowercase()).or_insert(0);
+                *n += 1;
+                if *n > 1 {
+                    format!("{}_{n}", c.column)
+                } else {
+                    c.column.clone()
+                }
+            })
+            .collect()
     }
 
     /// First row's value in the named column.
@@ -239,25 +259,29 @@ fn row_resolver<'a>(
     }
 }
 
-/// Entry point: plan and execute a SELECT.
-pub fn run_select(db: &Db, sel: &Select) -> Result<ResultSet> {
-    let plan = plan_select(db, sel)?;
+/// Rows bound to table names for one query (see [`Db::query_with`]).
+pub type Bound<'a> = [(&'a str, &'a ResultSet)];
+
+/// Entry point: plan and execute a SELECT, with `bound` rows shadowing the
+/// catalog.
+pub fn run_select(db: &Db, sel: &Select, bound: &Bound) -> Result<ResultSet> {
+    let plan = plan_select(db, sel, bound)?;
     let rows = exec_plan(db, &plan)?;
     Ok(ResultSet { columns: plan.cols, rows })
 }
 
 /// Build the physical plan for a SELECT (exposed for EXPLAIN-style tests).
-pub fn plan_select(db: &Db, sel: &Select) -> Result<PlanNode> {
+pub fn plan_select(db: &Db, sel: &Select, bound: &Bound) -> Result<PlanNode> {
     // Resolve IN (SELECT …) into IN-lists up front.
     let where_clause = match &sel.where_clause {
-        Some(w) => Some(resolve_subqueries(db, w)?),
+        Some(w) => Some(resolve_subqueries(db, w, bound)?),
         None => None,
     };
 
     // Plan each FROM entry.
     let mut parts: Vec<PlanNode> = Vec::new();
     for item in &sel.from {
-        parts.push(plan_from_item(db, item)?);
+        parts.push(plan_from_item(db, item, bound)?);
     }
     if parts.is_empty() {
         return Err(RdbError::Semantic("empty FROM clause".into()));
@@ -392,7 +416,7 @@ pub fn plan_select(db: &Db, sel: &Select) -> Result<PlanNode> {
                 }
             }
             SelectItem::Expr { expr, alias } => {
-                let expr = resolve_subqueries(db, expr)?;
+                let expr = resolve_subqueries(db, expr, bound)?;
                 // Validate column references now for a better error.
                 for c in expr.columns() {
                     if find_col(&node.cols, c).is_none() {
@@ -550,33 +574,45 @@ fn scan_cols(db: &Db, table: &str, binding: &str) -> Result<Vec<ColRef>> {
     Ok(cols)
 }
 
-fn plan_from_item(db: &Db, item: &FromItem) -> Result<PlanNode> {
+fn plan_from_item(db: &Db, item: &FromItem, bound: &Bound) -> Result<PlanNode> {
     match item {
-        FromItem::Table(t) => plan_table_ref(db, t),
+        FromItem::Table(t) => plan_table_ref(db, t, bound),
         FromItem::Join { kind, left, right, on } => {
-            let l = plan_from_item(db, left)?;
-            let r = plan_from_item(db, right)?;
-            let on = resolve_subqueries(db, on)?;
+            let l = plan_from_item(db, left, bound)?;
+            let r = plan_from_item(db, right, bound)?;
+            let on = resolve_subqueries(db, on, bound)?;
             let conds: Vec<Expr> = on.conjuncts().into_iter().cloned().collect();
             plan_join(db, l, r, *kind, conds, None)
         }
     }
 }
 
-fn plan_table_ref(db: &Db, t: &TableRef) -> Result<PlanNode> {
+fn plan_table_ref(db: &Db, t: &TableRef, bound: &Bound) -> Result<PlanNode> {
+    let binding = t.binding();
+    if let Some((_, rs)) = bound.iter().find(|(name, _)| name.eq_ignore_ascii_case(&t.table)) {
+        // Bound rows read as a derived table, laid out as a scan of their
+        // materialized table would be: named columns, then the position as
+        // the trailing `rowid`.
+        let mut cols: Vec<ColRef> =
+            rs.table_columns().into_iter().map(|c| ColRef::new(binding, c)).collect();
+        cols.push(ColRef::new(binding, "rowid"));
+        let rows = (rs.rows.iter().zip(0i64..))
+            .map(|(row, rid)| row.iter().cloned().chain([Value::Int(rid)]).collect())
+            .collect();
+        return Ok(PlanNode { cols, op: PlanOp::Derived { rows } });
+    }
     if let Some(view) = db.view_def(&t.table) {
         // Inline the view as a derived table, re-qualifying output columns
         // with the view binding.
-        let inner = run_select(db, &view.select)?;
-        let binding = t.binding().to_string();
+        let inner = run_select(db, &view.select, bound)?;
         let cols: Vec<ColRef> =
-            inner.columns.iter().map(|c| ColRef::new(binding.clone(), c.column.clone())).collect();
+            inner.columns.iter().map(|c| ColRef::new(binding, c.column.clone())).collect();
         return Ok(PlanNode { cols, op: PlanOp::Derived { rows: inner.rows } });
     }
-    let cols = scan_cols(db, &t.table, t.binding())?;
+    let cols = scan_cols(db, &t.table, binding)?;
     Ok(PlanNode {
         cols,
-        op: PlanOp::Scan { table: t.table.clone(), binding: t.binding().to_string(), filter: None },
+        op: PlanOp::Scan { table: t.table.clone(), binding: binding.to_string(), filter: None },
     })
 }
 
@@ -692,25 +728,20 @@ fn plan_join(
 }
 
 /// Replace `IN (SELECT …)` with an evaluated `IN (values…)`.
-pub fn resolve_subqueries(db: &Db, e: &Expr) -> Result<Expr> {
+pub fn resolve_subqueries(db: &Db, e: &Expr, bound: &Bound) -> Result<Expr> {
+    let resolve = |x: &Expr| resolve_subqueries(db, x, bound);
     Ok(match e {
         Expr::InSubquery { expr, query, negated } => {
-            let rs = run_select(db, query)?;
+            let rs = run_select(db, query, bound)?;
             let set: Vec<Value> = rs.rows.into_iter().map(|mut r| r.swap_remove(0)).collect();
-            Expr::InSet { expr: Box::new(resolve_subqueries(db, expr)?), set, negated: *negated }
+            Expr::InSet { expr: Box::new(resolve(expr)?), set, negated: *negated }
         }
-        Expr::And(es) => {
-            Expr::And(es.iter().map(|x| resolve_subqueries(db, x)).collect::<Result<_>>()?)
+        Expr::And(es) => Expr::And(es.iter().map(resolve).collect::<Result<_>>()?),
+        Expr::Or(es) => Expr::Or(es.iter().map(resolve).collect::<Result<_>>()?),
+        Expr::Not(x) => Expr::Not(Box::new(resolve(x)?)),
+        Expr::Cmp { op, lhs, rhs } => {
+            Expr::Cmp { op: *op, lhs: Box::new(resolve(lhs)?), rhs: Box::new(resolve(rhs)?) }
         }
-        Expr::Or(es) => {
-            Expr::Or(es.iter().map(|x| resolve_subqueries(db, x)).collect::<Result<_>>()?)
-        }
-        Expr::Not(x) => Expr::Not(Box::new(resolve_subqueries(db, x)?)),
-        Expr::Cmp { op, lhs, rhs } => Expr::Cmp {
-            op: *op,
-            lhs: Box::new(resolve_subqueries(db, lhs)?),
-            rhs: Box::new(resolve_subqueries(db, rhs)?),
-        },
         other => other.clone(),
     })
 }

@@ -10,8 +10,12 @@
 //! * a planner choosing index nested-loop joins over key/FK indexes, hash
 //!   joins, or nested loops — the index-vs-no-index gap drives Fig. 16;
 //! * undo-log transactions with rollback — the cost baseline of Fig. 14;
+//! * copy-on-write tables: a [`Db`] clone or snapshot shares every table's
+//!   storage and copies a table only when it first writes to it;
 //! * updatable LEFT JOIN views for the *internal* strategy of §6.2.1;
-//! * probe-result materialization (`TAB_…` tables, §6.1) without indexes.
+//! * probe results (`TAB_…` tables, §6.1) without indexes: bound to one
+//!   query as read-only rows ([`Db::query_with`], what a check uses), or
+//!   materialized as a table ([`Db::materialize`], what `apply` uses).
 //!
 //! ```
 //! use ufilter_rdb::{Db, Value};

@@ -244,7 +244,8 @@ fn delete_with_in_subquery() {
          WHERE book.pubid = publisher.pubid AND book.price < 40.00",
     )
     .unwrap();
-    db.materialize("TAB_book", &probe).unwrap();
+    let rows = db.query(&probe).unwrap();
+    db.materialize("TAB_book", &rows);
     let out = db
         .execute_sql("DELETE FROM review WHERE review.bookid IN SELECT bookid FROM TAB_book")
         .unwrap();
@@ -255,7 +256,8 @@ fn delete_with_in_subquery() {
 fn materialized_tables_have_no_indexes() {
     let mut db = book_db();
     let probe = Parser::parse_select("SELECT bookid, title FROM book").unwrap();
-    db.materialize("TAB_book", &probe).unwrap();
+    let rows = db.query(&probe).unwrap();
+    assert_eq!(db.materialize("TAB_book", &rows), 3);
     assert!(db.table_data("TAB_book").unwrap().indexes.is_empty());
     assert_eq!(db.row_count("TAB_book"), 3);
     // Still queryable.
@@ -354,7 +356,7 @@ fn planner_uses_index_join_on_fk() {
         "SELECT book.title FROM book, publisher WHERE book.pubid = publisher.pubid",
     )
     .unwrap();
-    let plan = ufilter_rdb::exec::plan_select(&db, &sel).unwrap();
+    let plan = ufilter_rdb::exec::plan_select(&db, &sel, &[]).unwrap();
     let text = plan.explain();
     assert!(text.contains("IndexNLJoin"), "plan was:\n{text}");
 }
@@ -367,7 +369,7 @@ fn planner_falls_back_without_index_join() {
         "SELECT book.title FROM book, publisher WHERE book.pubid = publisher.pubid",
     )
     .unwrap();
-    let plan = ufilter_rdb::exec::plan_select(&db, &sel).unwrap();
+    let plan = ufilter_rdb::exec::plan_select(&db, &sel, &[]).unwrap();
     let text = plan.explain();
     assert!(text.contains("HashJoin"), "plan was:\n{text}");
     // Same rows either way.

@@ -10,12 +10,13 @@
 //!   routing take the read lock once per call; catalog mutations and
 //!   guarded DDL take the write lock once. (The name predates the move
 //!   from per-name shards to a single lock.)
-//! * [`pool::CheckPool`] — `workers` private check slots (a database
+//! * [`pool::CheckPool`] — `workers` check slots (a copy-on-write database
 //!   clone and a long-lived [`ufilter_core::ProbeCache`] each) that
 //!   connection threads borrow: a request runs on the thread that read it,
 //!   on one slot, under one catalog read guard. Free slots are reused
 //!   last-in-first-out, so a connection keeps landing on the cache it just
-//!   warmed.
+//!   warmed. The clones share every table's storage, so the server holds
+//!   one copy of the data however many slots it has.
 //! * [`proto`] + [`server::CheckServer`] — a line-oriented wire protocol
 //!   over `std::net` TCP (`CHECK`, `BATCH`, `CHECKALL`, `BATCHALL`,
 //!   `CATALOG ADD/DROP/LIST`, `STATS`, `SHUTDOWN`) whose `OK`/`ERR`
@@ -28,10 +29,11 @@
 //!   [`ViewCatalog::route_candidates`](ufilter_core::ViewCatalog::route_candidates))
 //!   picks the candidate views, and only those run the pipeline.
 //!
-//! The service is **check-only**: no wire request ever commits a
-//! translated update, so the slots' database clones and probe caches stay
-//! valid for the server's lifetime, and every reply is a pure function of
-//! (catalog, database snapshot, update).
+//! The service is **check-only**: no wire request ever changes a slot's
+//! database (under every strategy, a check leaves it as it found it), so
+//! the slots' database clones and probe caches stay valid for the server's
+//! lifetime, and every reply is a pure function of (catalog, database
+//! snapshot, update).
 //!
 //! ```
 //! use std::sync::Arc;

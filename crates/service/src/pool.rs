@@ -1,19 +1,22 @@
 //! The check pool: `workers` private check **slots** that connection
 //! threads borrow, one request at a time.
 //!
-//! A slot is a private [`Db`] clone plus the long-lived [`ProbeCache`]
-//! whose results refer to it. [`CheckPool::check`] runs on the calling
-//! thread: it takes a free slot (waiting if every slot is lent out), then
-//! the catalog read guard, and drops the guard before it returns the slot,
-//! so a request that is only waiting for a slot never holds off a writer.
-//! Free slots form a last-in-first-out stack, so a lone connection keeps
-//! reusing the slot whose cache it just warmed.
+//! A slot is a [`Db`] clone plus the long-lived [`ProbeCache`] whose
+//! results refer to it. [`CheckPool::check`] runs on the calling thread: it
+//! takes a free slot (waiting if every slot is lent out), then the catalog
+//! read guard, and drops the guard before it returns the slot, so a request
+//! that is only waiting for a slot never holds off a writer. Free slots
+//! form a last-in-first-out stack, so a lone connection keeps reusing the
+//! slot whose cache it just warmed.
 //!
-//! Slots stay private because checking still writes: the outside strategy
-//! materializes `TAB_<tag>` into the database, and the hybrid and internal
-//! strategies execute and roll back. Nothing is committed, so every slot's
-//! database stays the snapshot taken at construction, and cached probe
-//! results stay valid for the pool's lifetime.
+//! The clones are copy-on-write: every slot shares every table's storage
+//! with the database the pool was built from. The default outside strategy
+//! only reads (its probes read `TAB_<tag>` as bound rows), so it copies
+//! nothing; the hybrid and internal strategies execute and roll back, and a
+//! slot copies a table the first time one of its checks writes it, once.
+//! Nothing is committed, so every slot's database stays the snapshot taken
+//! at construction, and cached probe results stay valid for the pool's
+//! lifetime.
 
 use std::sync::{Arc, Condvar, Mutex, PoisonError};
 
@@ -64,8 +67,9 @@ pub struct CheckPool {
 }
 
 impl CheckPool {
-    /// `workers` (at least 1) slots, each owning a clone of `db` and an
-    /// empty probe cache, all checking against `catalog`.
+    /// `workers` (at least 1) slots, each holding a copy-on-write clone of
+    /// `db` (no table is copied) and an empty probe cache, all checking
+    /// against `catalog`.
     pub fn new(catalog: Arc<ShardedCatalog>, db: &Db, workers: usize) -> CheckPool {
         let workers = workers.max(1);
         let free = (0..workers).map(|_| Slot { db: db.clone(), cache: ProbeCache::new() });

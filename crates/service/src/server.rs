@@ -61,8 +61,9 @@ pub struct CheckServer {
 
 impl CheckServer {
     /// Bind `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and build a
-    /// pool of `workers` check slots, each owning a clone of `db`: at most
-    /// `workers` checks run at once, whatever the number of connections.
+    /// pool of `workers` check slots, each holding a copy-on-write clone of
+    /// `db` that shares its tables: at most `workers` checks run at once,
+    /// whatever the number of connections.
     pub fn bind(
         addr: &str,
         catalog: Arc<ShardedCatalog>,

@@ -3,7 +3,9 @@
 # loopback port, drive a scripted client session (catalog add, check,
 # batch, checkall fan-out, stats, metrics, shutdown), and fail on any
 # non-OK reply, missing Prometheus metric family, or hang. A second phase SIGKILLs a durable (--data-dir) server mid-session
-# and asserts the restarted server recovers to byte-identical replies.
+# and asserts the restarted server recovers to byte-identical replies. A
+# third phase asserts that, under every --strategy, checking never changes
+# the database a check slot holds.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -211,6 +213,47 @@ if kill -0 "$SERVE2_PID" 2>/dev/null; then
 fi
 wait "$SERVE2_PID" 2>/dev/null || true
 echo "crash-recovery smoke OK"
+
+# ---- strategy-drift phase: a check never changes its slot's database ----
+# One check slot per server, so every request runs on the same database
+# clone and probe cache. U9 deletes the books over $40; if checking it
+# changed the slot's database, the second U13 (a review inserted under
+# book 98003) would be answered differently from the first.
+cat > "$SCRIPT" <<'EOF'
+add ci_books fixtures/bookview.xq
+check ci_books fixtures/u13.xq
+check ci_books fixtures/u9.xq
+check ci_books fixtures/u13.xq
+shutdown
+EOF
+for STRATEGY in outside hybrid internal; do
+    : > "$OUT"
+    "$BIN" --schema fixtures/book.sql --strategy "$STRATEGY" \
+           --listen 127.0.0.1:0 --workers 1 serve > "$OUT" &
+    SERVE_PID=$!
+    for _ in $(seq 1 100); do
+        grep -q LISTENING "$OUT" && break
+        kill -0 "$SERVE_PID" 2>/dev/null || { echo "FAIL: $STRATEGY serve died early"; exit 1; }
+        sleep 0.1
+    done
+    grep -q LISTENING "$OUT" || { echo "FAIL: $STRATEGY serve never bound"; exit 1; }
+    ADDR=$(awk '/^LISTENING/{print $2; exit}' "$OUT")
+    DRIFT_OUT=$(timeout 60 "$BIN" client "$ADDR" "$SCRIPT") \
+        || { echo "FAIL: $STRATEGY session got an ERR"; echo "$DRIFT_OUT"; exit 1; }
+    mapfile -t CHECKS < <(grep '^ci_books: ' <<< "$DRIFT_OUT")
+    [ "${#CHECKS[@]}" -eq 3 ] \
+        || { echo "FAIL: $STRATEGY: expected 3 check replies"; echo "$DRIFT_OUT"; exit 1; }
+    [[ "${CHECKS[0]}" == "ci_books: translatable "* ]] \
+        || { echo "FAIL: $STRATEGY: U13 not translatable: ${CHECKS[0]}"; exit 1; }
+    if [ "${CHECKS[0]}" != "${CHECKS[2]}" ]; then
+        echo "FAIL: $STRATEGY: U13 answered differently after checking U9"
+        diff <(echo "${CHECKS[0]}") <(echo "${CHECKS[2]}") || true
+        exit 1
+    fi
+    wait "$SERVE_PID"
+    echo "strategy $STRATEGY: U13 replies byte-identical around U9"
+done
+echo "strategy-drift smoke OK"
 
 # ---- route-scale phase: 10k-view trie build + 50-update route -----------
 # Bounded scale check on the shared path-trie router: build a 10^4-view

@@ -50,6 +50,29 @@ fn all_strategies_satisfy_rectangle_rule_on_accepted_updates() {
 }
 
 #[test]
+fn all_strategies_accept_the_same_updates() {
+    for mode in [StarMode::Strict, StarMode::Refined] {
+        let accepted = |strategy| {
+            let filter = bookdemo::book_filter().with_config(UFilterConfig { mode, strategy });
+            let mut names = Vec::new();
+            for (name, update) in bookdemo::all_updates() {
+                let mut db = bookdemo::book_db();
+                if let Ok((true, verdict)) = apply_and_verify(&filter, update, &mut db) {
+                    assert_eq!(verdict, Some(RectangleVerdict::Holds), "{name} under {strategy:?}");
+                    names.push(name);
+                }
+            }
+            names
+        };
+        let outside = accepted(Strategy::Outside);
+        assert_eq!(outside, ["u8", "u9", "u12", "u13"], "{mode:?}");
+        for strategy in [Strategy::Hybrid, Strategy::Internal] {
+            assert_eq!(accepted(strategy), outside, "{strategy:?} under {mode:?}");
+        }
+    }
+}
+
+#[test]
 fn replace_is_delete_plus_insert() {
     // REPLACE a review with a new one: both actions must check and the
     // final view must show the replacement.

@@ -140,6 +140,7 @@ fn view_and_update_fixtures_match_bookdemo_constants() {
         ("fixtures/bookview.xq", bookdemo::BOOK_VIEW),
         ("fixtures/bookstats.xq", bookdemo::BOOK_STATS_VIEW),
         ("fixtures/u8.xq", bookdemo::U8),
+        ("fixtures/u9.xq", bookdemo::U9),
         ("fixtures/u10.xq", bookdemo::U10),
         ("fixtures/u13.xq", bookdemo::U13),
         ("fixtures/u_agg.xq", bookdemo::U_AGG),
