@@ -13,8 +13,8 @@ use ufilter_core::{
 };
 use ufilter_rdb::{DatabaseSchema, Db, DeletePolicy};
 use ufilter_tpch::{
-    fanout_stream, generate, many_views, stream, stream_views, tpch_schema, updates, vfail_for,
-    Scale, StreamSpec, V_BUSH, V_SUCCESS,
+    fanout_stream, generate, many_views, stream, stream_views, top_partition_updates, tpch_schema,
+    updates, vfail_for, Scale, StreamSpec, V_BUSH, V_SUCCESS,
 };
 
 /// A printable result table.
@@ -801,9 +801,14 @@ pub fn route_trie_scale(len: usize, reps: usize, sweep: &[usize]) -> Table {
 }
 
 /// Bounded route-scale smoke for CI (`paper-figures routesmoke`): build an
-/// `n`-view signature catalog into the trie and the legacy index, route a
-/// `len`-update stream through both, panic (non-zero exit) on any candidate
-/// divergence, and print one machine-parsable line.
+/// `n`-view signature catalog into the trie and the legacy index, and route
+/// a `len`-update fan-out stream plus each family's last-partition key
+/// ([`top_partition_updates`]) through both. One untimed pass warms the
+/// trie's lazily derived endpoint arrays and panics (non-zero exit) on any
+/// candidate divergence; then warm passes of each index are timed and their
+/// medians printed per update (`trie_us`, `linear_us`) on one
+/// machine-parsable line. Both run in one process, so their ratio does not
+/// depend on the host's speed.
 pub fn route_smoke(n: usize, len: usize) -> String {
     use ufilter_route::{Footprint, RelevanceIndex, TrieIndex};
     use ufilter_xquery::parse_update;
@@ -821,29 +826,42 @@ pub fn route_smoke(n: usize, len: usize) -> String {
         legacy.insert_signature(name, sig.clone());
     }
 
-    let footprints: Vec<Footprint> = fanout_stream(len, scale, 42)
+    let mut updates = fanout_stream(len, scale, 42);
+    updates.extend(top_partition_updates(n, scale));
+    let footprints: Vec<Footprint> = updates
         .iter()
         .map(|u| Footprint::of(&parse_update(u).expect("fan-out update parses")))
         .collect();
-    let t_route = Instant::now();
     let mut candidates = 0usize;
     for fp in &footprints {
-        candidates += trie.route_footprint(fp).candidates.len();
+        let t = trie.route_footprint(fp);
+        assert_eq!(t.candidates, legacy.route_footprint(fp).candidates, "candidates diverge");
+        candidates += t.candidates.len();
     }
-    let route_ms = t_route.elapsed().as_secs_f64() * 1e3;
-    for fp in &footprints {
-        assert_eq!(
-            trie.route_footprint(fp).candidates,
-            legacy.route_footprint(fp).candidates,
-            "trie and linear candidates diverge"
-        );
-    }
+    // Median wall time of one warm pass over the stream, in µs per update.
+    let per_update_us = |passes: usize, route: &dyn Fn(&Footprint) -> usize| -> f64 {
+        let mut samples: Vec<Duration> = (0..passes)
+            .map(|_| {
+                let t = Instant::now();
+                let total: usize = footprints.iter().map(route).sum();
+                std::hint::black_box(total);
+                t.elapsed()
+            })
+            .collect();
+        samples.sort();
+        samples[passes / 2].as_secs_f64() * 1e6 / footprints.len() as f64
+    };
+    let trie_us = per_update_us(21, &|fp| trie.route_footprint(fp).candidates.len());
+    let linear_us = per_update_us(5, &|fp| legacy.route_footprint(fp).candidates.len());
     let stats = trie.stats();
     format!(
-        "route-smoke OK n={n} updates={len} candidates={candidates} \
-         build_ms={build_ms:.1} route_ms={route_ms:.1} trie_nodes={} \
-         trie_postings={} trie_bytes={}\n",
-        stats.nodes, stats.postings, stats.bytes
+        "route-smoke OK n={n} updates={len} top_keys={} candidates={candidates} \
+         build_ms={build_ms:.1} trie_us={trie_us:.2} linear_us={linear_us:.1} \
+         trie_nodes={} trie_postings={} trie_bytes={}\n",
+        footprints.len() - len,
+        stats.nodes,
+        stats.postings,
+        stats.bytes
     )
 }
 

@@ -45,7 +45,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use ufilter_rdb::{DatabaseSchema, Db, ExecOutcome, Parser, Stmt};
-use ufilter_route::{IndexStats, Route, TrieIndex, ViewSignature};
+use ufilter_route::{Footprint, IndexStats, PruneLevels, Route, TrieIndex, ViewSignature};
 use ufilter_xquery::UpdateStmt;
 
 use crate::obs::{self, Stage};
@@ -206,14 +206,9 @@ pub struct FanoutStats {
     pub fanout_requests: usize,
     /// Candidate (view, update) checks actually run.
     pub candidates: usize,
-    /// Views pruned without running the pipeline, all levels.
+    /// Views pruned without running the pipeline (the per-level split is
+    /// computed on demand by [`ViewCatalog::prune_levels`]).
     pub pruned: usize,
-    /// … of which at the tag-vocabulary level.
-    pub pruned_tags: usize,
-    /// … of which at the path-structure level.
-    pub pruned_paths: usize,
-    /// … of which at the constant-predicate level.
-    pub pruned_preds: usize,
     /// Requests the index could not classify (every view became a
     /// candidate; the per-view pipeline was the fallback).
     pub fallbacks: usize,
@@ -225,9 +220,6 @@ impl FanoutStats {
         self.fanout_requests += 1;
         self.candidates += route.candidates.len();
         self.pruned += route.pruned();
-        self.pruned_tags += route.pruned_tags;
-        self.pruned_paths += route.pruned_paths;
-        self.pruned_preds += route.pruned_preds;
         self.fallbacks += usize::from(route.fallback);
     }
 
@@ -238,9 +230,6 @@ impl FanoutStats {
         self.fanout_requests += other.fanout_requests;
         self.candidates += other.candidates;
         self.pruned += other.pruned;
-        self.pruned_tags += other.pruned_tags;
-        self.pruned_paths += other.pruned_paths;
-        self.pruned_preds += other.pruned_preds;
         self.fallbacks += other.fallbacks;
     }
 }
@@ -502,13 +491,20 @@ impl ViewCatalog {
     }
 
     /// Route a parsed update through the relevance index: the candidate
-    /// views in **ascending name order**, plus the per-level pruning
-    /// counters. The candidates are a sound superset of the truly relevant
-    /// views (see [`ufilter_route`]): every pruned view is guaranteed to
-    /// classify the update as statically irrelevant (`Invalid` with an
-    /// unknown-target / hierarchy / predicate-outside-view reason).
+    /// views in **ascending name order**. The candidates are a sound
+    /// superset of the truly relevant views (see [`ufilter_route`]): every
+    /// pruned view is guaranteed to classify the update as statically
+    /// irrelevant (`Invalid` with an unknown-target / hierarchy /
+    /// predicate-outside-view reason).
     pub fn route_update(&self, u: &UpdateStmt) -> Route {
         self.index.route(u)
+    }
+
+    /// Which routing level pruned how many views for `u` — computed on
+    /// demand (routing does not build the levels), for displays such as
+    /// the CLI `check-all` trailer.
+    pub fn prune_levels(&self, u: &UpdateStmt) -> PruneLevels {
+        self.index.prune_levels(&Footprint::of(u))
     }
 
     /// The routing step of one [`Target::Routed`] item, shared by
@@ -535,7 +531,6 @@ impl ViewCatalog {
                 candidates: self.views.keys().cloned().collect(),
                 views: self.views.len(),
                 fallback: true,
-                ..Route::default()
             },
         };
         fanout.views = self.views.len();

@@ -66,5 +66,5 @@ pub use rectangle::{apply_and_verify, blind_apply, verify_applied, RectangleVerd
 pub use star::{StarMarking, StarMode, StarVerdict};
 pub use target::ResolvedAction;
 pub use translate::TranslationPlan;
-pub use ufilter_route::{wire_outcome_is_irrelevant, Footprint, IndexStats, Route};
+pub use ufilter_route::{wire_outcome_is_irrelevant, Footprint, IndexStats, PruneLevels, Route};
 pub use validate::validate;

@@ -1,7 +1,8 @@
 //! Checking never changes the database: under every strategy and STAR mode,
 //! a check-only run leaves `Db::dump()` exactly as it found it (no user-table
-//! change, no `TAB_` table), through `UFilter::check` and through
-//! `ViewCatalog::check`, with or without a caller-held transaction.
+//! change, no `TAB_` table, no `RV_` mapping view), through `UFilter::check`
+//! and through `ViewCatalog::check`, with or without a caller-held
+//! transaction.
 
 use std::collections::BTreeMap;
 
@@ -22,6 +23,8 @@ fn assert_untouched(db: &Db, before: &BTreeMap<String, Vec<Row>>, what: &str) {
         db.schema().tables.iter().all(|t| !t.name.starts_with("TAB_")),
         "{what} left a TAB_ table"
     );
+    // The internal strategy's mapping relational view of the book view.
+    assert!(db.view_def("RV_BookView").is_none(), "{what} left the RV_BookView view");
     assert_eq!(&db.dump(), before, "{what} changed the database");
 }
 

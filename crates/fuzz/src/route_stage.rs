@@ -3,8 +3,9 @@
 //! For every generated plan, the compiled view ASGs feed both routing
 //! index implementations — the production [`TrieIndex`] and the
 //! per-view-signature [`RelevanceIndex`] oracle — and every parseable
-//! update must route to the **same** [`Route`]: identical candidate
-//! lists, identical per-level pruning counters, identical fallback flag.
+//! update must route to the **same** [`Route`] (identical candidate
+//! lists, view counts and fallback flags) and the same on-demand
+//! per-level pruning split.
 //! The stage is signature-only (no databases, no check pipelines), so it
 //! sweeps far more cases per second than the four-surface oracle; a
 //! mismatch shrinks through [`crate::shrink::shrink_with`] to a minimal
@@ -17,7 +18,7 @@
 
 use ufilter_asg::build_view_asg;
 use ufilter_rdb::Db;
-use ufilter_route::{RelevanceIndex, TrieIndex};
+use ufilter_route::{Footprint, RelevanceIndex, TrieIndex};
 use ufilter_xquery::{parse_update, parse_view_query};
 
 use crate::oracle::{Divergence, Plan, RawPlan};
@@ -87,13 +88,15 @@ pub fn run_route_raw(
         if let Some(f) = mutate {
             t.candidates = f(&t.candidates);
         }
-        if t != l {
+        let fp = Footprint::of(&u);
+        let (tl, ll) = (trie.prune_levels(&fp), linear.prune_levels(&fp));
+        if t != l || tl != ll {
             return Err(Divergence {
                 seed: plan.seed,
                 kind: "route-mismatch".into(),
                 view: plan.views.iter().map(|(n, _)| n.as_str()).collect::<Vec<_>>().join(","),
                 update: text.clone(),
-                detail: format!("trie:   {t:?}\nlinear: {l:?}"),
+                detail: format!("trie:   {t:?} {tl:?}\nlinear: {l:?} {ll:?}"),
             });
         }
         stats.routed += 1;

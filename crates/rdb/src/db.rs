@@ -280,6 +280,9 @@ impl Db {
         if self.views.contains_key(&key) || self.data.contains_key(&key) {
             return Err(RdbError::Semantic(format!("{} already exists", view.name)));
         }
+        if let Some(t) = &mut self.txn {
+            t.push(Undo::CreateView { name: key.clone() });
+        }
         self.views.insert(key, view);
         Ok(())
     }
@@ -442,6 +445,9 @@ impl Db {
                 }
                 Undo::Update { table, rid, old } => {
                     self.phys_overwrite(&table, rid, old);
+                }
+                Undo::CreateView { name } => {
+                    self.views.remove(&name);
                 }
             }
         }

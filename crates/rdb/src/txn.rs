@@ -4,9 +4,10 @@
 //! executes, the view side effect is detected afterwards, and "the database
 //! would have to be recovered for example by rolling back. This would be
 //! rather time consuming" (§1). The undo log records physical changes
-//! (insert/delete/update with before-images); rollback replays them in
-//! reverse. Statement-level atomicity uses the same records: a failed
-//! statement undoes its own partial work even outside a transaction.
+//! (insert/delete/update with before-images) and view creation; rollback
+//! replays them in reverse. Statement-level atomicity uses the same
+//! records: a failed statement undoes its own partial work even outside a
+//! transaction.
 
 use crate::storage::{Row, RowId};
 
@@ -19,6 +20,8 @@ pub enum Undo {
     Delete { table: String, rid: RowId, row: Row },
     /// A row was overwritten; undo by restoring the before-image.
     Update { table: String, rid: RowId, old: Row },
+    /// A view was created (key: lower-cased name); undo by dropping it.
+    CreateView { name: String },
 }
 
 /// An append-only log of [`Undo`] records for the active transaction.

@@ -213,6 +213,23 @@ fn rollback_restores_exact_state() {
 }
 
 #[test]
+fn rollback_drops_a_view_created_in_the_transaction() {
+    let mut db = book_db();
+    let view = "CREATE VIEW Cheap AS SELECT bookid FROM book WHERE price < 40.00";
+    db.begin().unwrap();
+    db.execute_sql(view).unwrap();
+    assert!(db.view_def("Cheap").is_some());
+    db.rollback().unwrap();
+    assert!(db.view_def("cheap").is_none(), "rolled-back view is gone");
+    // Re-creating it works, and a committed view stays.
+    db.begin().unwrap();
+    db.execute_sql(view).unwrap();
+    db.commit().unwrap();
+    assert!(db.view_def("Cheap").is_some());
+    assert!(db.query_sql("SELECT bookid FROM Cheap").is_ok());
+}
+
+#[test]
 fn commit_keeps_changes() {
     let mut db = book_db();
     db.begin().unwrap();

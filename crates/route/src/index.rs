@@ -229,22 +229,31 @@ pub struct Route {
     pub candidates: Vec<String>,
     /// Total views in the index when the route was computed.
     pub views: usize,
-    /// Views pruned at level 1 (missing tag vocabulary).
-    pub pruned_tags: usize,
-    /// Views pruned at level 2 (missing path structure).
-    pub pruned_paths: usize,
-    /// Views pruned at level 3 (contradicted constant predicates).
-    pub pruned_preds: usize,
     /// The update was unclassifiable; every view is a candidate and the
     /// per-view pipeline is the fallback classifier.
     pub fallback: bool,
 }
 
 impl Route {
-    /// Total views pruned across all levels.
+    /// Views pruned without running the pipeline: every view that is not
+    /// a candidate.
     pub fn pruned(&self) -> usize {
-        self.pruned_tags + self.pruned_paths + self.pruned_preds
+        self.views - self.candidates.len()
     }
+}
+
+/// Where a route's pruned views were pruned, level by level. Routing does
+/// not compute it; [`TrieIndex::prune_levels`](crate::TrieIndex::prune_levels)
+/// and [`RelevanceIndex::prune_levels`] do, on demand. The three counts add
+/// up to [`Route::pruned`].
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct PruneLevels {
+    /// Views pruned at level 1 (missing tag vocabulary).
+    pub tags: usize,
+    /// Views pruned at level 2 (missing path structure).
+    pub paths: usize,
+    /// Views pruned at level 3 (contradicted constant predicates).
+    pub preds: usize,
 }
 
 /// The shared relevance index over every registered view of a catalog.
@@ -349,28 +358,42 @@ impl RelevanceIndex {
                 candidates: self.views.keys().cloned().collect(),
                 views,
                 fallback: true,
-                ..Route::default()
             };
         }
-        // Level 1 via the inverted index: intersect postings, rarest first.
-        let mut route = Route { views, ..Route::default() };
+        Route { candidates: self.walk(fp).0, views, fallback: false }
+    }
+
+    /// How many views each level prunes for `fp` (all zero for a fallback
+    /// footprint) — the oracle for
+    /// [`TrieIndex::prune_levels`](crate::TrieIndex::prune_levels).
+    pub fn prune_levels(&self, fp: &Footprint) -> PruneLevels {
+        if fp.fallback {
+            return PruneLevels::default();
+        }
+        self.walk(fp).1
+    }
+
+    /// The level-by-level walk: level 1 through the inverted index, then
+    /// each survivor's paths and predicates. Candidates come back in name
+    /// order.
+    fn walk(&self, fp: &Footprint) -> (Vec<String>, PruneLevels) {
         let survivors: Vec<(&String, &ViewSignature)> = match self.level1(fp) {
             Some(names) => names.into_iter().map(|n| (n, &self.views[n])).collect(),
             None => Vec::new(),
         };
-        route.pruned_tags = views - survivors.len();
+        let mut levels =
+            PruneLevels { tags: self.views.len() - survivors.len(), ..PruneLevels::default() };
         let mut candidates = Vec::with_capacity(survivors.len());
         for (name, sig) in survivors {
             if !sig.covers_paths(fp) {
-                route.pruned_paths += 1;
+                levels.paths += 1;
             } else if !sig.covers_predicates(fp) {
-                route.pruned_preds += 1;
+                levels.preds += 1;
             } else {
                 candidates.push(name.clone());
             }
         }
-        route.candidates = candidates; // BTreeMap order ⇒ already name-sorted
-        route
+        (candidates, levels) // BTreeMap order ⇒ already name-sorted
     }
 
     /// Level-1 intersection. `None` when some token has no postings at all.
@@ -445,12 +468,18 @@ RETURN { <author> $a/name </author> } </V>"#;
         idx.route(&parse_update(update).unwrap())
     }
 
+    fn levels(idx: &RelevanceIndex, update: &str) -> PruneLevels {
+        idx.prune_levels(&Footprint::of(&parse_update(update).unwrap()))
+    }
+
     #[test]
     fn tag_level_prunes_views_without_the_vocabulary() {
         let idx = index();
-        let r = route(&idx, r#"FOR $a IN document("V.xml")/author UPDATE $a { DELETE $a/name }"#);
+        let update = r#"FOR $a IN document("V.xml")/author UPDATE $a { DELETE $a/name }"#;
+        let r = route(&idx, update);
         assert_eq!(r.candidates, ["authors"]);
-        assert_eq!(r.pruned_tags, 2);
+        assert_eq!(r.pruned(), 2);
+        assert_eq!(levels(&idx, update), PruneLevels { tags: 2, paths: 0, preds: 0 });
         assert!(!r.fallback);
     }
 
@@ -466,14 +495,12 @@ RETURN { <author> $a/name </author> } </V>"#;
     #[test]
     fn predicate_level_prunes_contradicted_partitions() {
         let idx = index();
-        let r = route(
-            &idx,
-            r#"FOR $b IN document("V.xml")/book
+        let update = r#"FOR $b IN document("V.xml")/book
 WHERE $b/price/text() = 35.00
-UPDATE $b { DELETE $b/title }"#,
-        );
+UPDATE $b { DELETE $b/title }"#;
+        let r = route(&idx, update);
         assert_eq!(r.candidates, ["dear"], "price 35 contradicts cheap's < 20 domain");
-        assert_eq!(r.pruned_preds, 1);
+        assert_eq!(levels(&idx, update), PruneLevels { tags: 1, paths: 0, preds: 1 });
     }
 
     #[test]

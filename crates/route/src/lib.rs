@@ -15,17 +15,20 @@
 //! [`TrieIndex`] (production — every view's signature merged into one
 //! shared path trie with compact integer postings, built for 10^5–10^6-view
 //! catalogs) and the original per-view [`RelevanceIndex`] (retained as the
-//! linear-walk differential oracle). Both route to identical [`Route`]s;
+//! linear-walk differential oracle). Both route to identical [`Route`]s
+//! and split the pruned views into identical per-level [`PruneLevels`];
 //! the workspace's `tests/route_soundness.rs` and the `ufilter-fuzz`
-//! routing stage hold them to full equality on randomized and
+//! routing stage hold them to both equalities on randomized and
 //! grammar-fuzzed streams with add/drop churn.
 //!
 //! ## Index levels
 //!
 //! Each registered view contributes a [`ViewSignature`] extracted from its
 //! compiled ASG; an incoming [`ufilter_xquery::UpdateStmt`] is distilled
-//! into a [`Footprint`]. Routing intersects the two at three successively sharper
-//! (and successively costlier) levels:
+//! into a [`Footprint`]. A view stays a candidate only if it meets the
+//! footprint's requirements at all three levels (the trie checks them in
+//! one intersection, rarest requirement first; [`PruneLevels`] reports
+//! which level pruned each view):
 //!
 //! 1. **Tag vocabulary** — an inverted index from element tag to the views
 //!    whose ASG contains it. Every tag the update names (binding steps,
@@ -110,7 +113,7 @@ mod postings;
 mod trie;
 
 pub use footprint::Footprint;
-pub use index::{LeafTarget, RelevanceIndex, Route, SignatureParts, ViewSignature};
+pub use index::{LeafTarget, PruneLevels, RelevanceIndex, Route, SignatureParts, ViewSignature};
 pub use overlap::{constant_preds_disjoint, ConstPred};
 pub use postings::IndexStats;
 pub use trie::TrieIndex;

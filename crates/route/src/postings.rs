@@ -1,13 +1,14 @@
 //! Memory-compact building blocks of the shared path trie: `u32` interners
-//! for view names and tags, sorted-`u32` posting lists with merge
-//! intersection/union, and the resident gauges the service `STATS` verb
-//! reports.
+//! for view names and tags, sorted-`u32` posting lists with a galloping
+//! intersection and a merge union, and the resident gauges the service
+//! `STATS` verb reports.
 //!
 //! Everything routing touches per request is a slice of `u32` view ids —
 //! 4 bytes per posting entry instead of an owned `String` per (tag, view)
 //! pair — so intersecting the update footprint against a 10^5-view catalog
 //! moves machine words, not string comparisons.
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
 
 /// Interner for registered view names. Ids are dense `u32`s recycled
@@ -66,13 +67,6 @@ impl ViewInterner {
     /// All live names, ascending.
     pub(crate) fn names_sorted(&self) -> Vec<String> {
         self.by_name.keys().cloned().collect()
-    }
-
-    /// All live ids, ascending by id (the order posting lists use).
-    pub(crate) fn ids_sorted(&self) -> Vec<u32> {
-        let mut ids: Vec<u32> = self.by_name.values().copied().collect();
-        ids.sort_unstable();
-        ids
     }
 
     /// Rough resident bytes: map nodes + name storage + slot table.
@@ -154,42 +148,75 @@ impl Postings {
     }
 }
 
-/// Intersect sorted id lists, rarest first. An empty `lists` means "no
-/// constraint" and is the caller's responsibility to special-case.
-pub(crate) fn intersect(mut lists: Vec<&[u32]>) -> Vec<u32> {
-    lists.sort_by_key(|l| l.len());
-    let (first, rest) = lists.split_first().expect("intersect() needs at least one list");
-    let mut out: Vec<u32> = first.to_vec();
-    for other in rest {
-        intersect_with(&mut out, other);
-        if out.is_empty() {
+/// One routing requirement: a view meets it when its id is in at least one
+/// of these sorted slices. A token, root-child or edge node is one slice; a
+/// predicate is its pass-through list plus the postings of every target it
+/// leaves satisfiable. No slice at all is a requirement no view meets.
+pub(crate) type Requirement<'a> = Vec<&'a [u32]>;
+
+/// Ids meeting every requirement, ascending; `None` when there are none
+/// (no constraint — the caller's "every view"). Requirements are taken
+/// rarest first by total postings: the rarest seeds the survivors (borrowed
+/// when it is one slice, merged when it is several), and every slice of a
+/// later requirement is galloped against the survivors, so a long slice
+/// costs about `survivors · log(len)`, never its length.
+pub(crate) fn intersect_all(mut reqs: Vec<Requirement<'_>>) -> Option<Cow<'_, [u32]>> {
+    reqs.sort_by_key(|r| r.iter().map(|s| s.len()).sum::<usize>());
+    let mut reqs = reqs.into_iter();
+    let mut survivors = match reqs.next()?.as_slice() {
+        [one] => Cow::Borrowed(*one),
+        many => Cow::Owned(union(many)),
+    };
+    for req in reqs {
+        if survivors.is_empty() {
             break;
         }
+        let mut out = Vec::new();
+        for slice in &req {
+            intersect_into(&survivors, slice, &mut out);
+        }
+        if req.len() > 1 {
+            // Each slice's matches come out sorted; merge the runs.
+            out.sort_unstable();
+            out.dedup();
+        }
+        survivors = Cow::Owned(out);
     }
-    out
+    Some(survivors)
 }
 
-/// `current ∩ other`, in place. Linear merge when the sides are comparable,
-/// per-element binary search when `current` is much smaller.
-pub(crate) fn intersect_with(current: &mut Vec<u32>, other: &[u32]) {
-    if current.len() * 16 < other.len() {
-        current.retain(|id| other.binary_search(id).is_ok());
-        return;
-    }
-    let mut out = Vec::with_capacity(current.len().min(other.len()));
-    let (mut i, mut j) = (0, 0);
-    while i < current.len() && j < other.len() {
-        match current[i].cmp(&other[j]) {
-            std::cmp::Ordering::Less => i += 1,
-            std::cmp::Ordering::Greater => j += 1,
+/// Append `a ∩ b` (both sorted, duplicate-free) to `out`, galloping through
+/// whichever side is behind: `O(m log(n/m))` for `m ≤ n` ids, and a few
+/// steps when the two id ranges do not overlap.
+fn intersect_into(mut a: &[u32], mut b: &[u32], out: &mut Vec<u32>) {
+    while let (Some(&x), Some(&y)) = (a.first(), b.first()) {
+        match x.cmp(&y) {
             std::cmp::Ordering::Equal => {
-                out.push(current[i]);
-                i += 1;
-                j += 1;
+                out.push(x);
+                a = &a[1..];
+                b = &b[1..];
             }
+            std::cmp::Ordering::Less => a = &a[gallop(a, y)..],
+            std::cmp::Ordering::Greater => b = &b[gallop(b, x)..],
         }
     }
-    *current = out;
+}
+
+/// Position of the first id `>= x` in sorted `s`: exponential search from
+/// the front, then a binary search inside the last step, so skipping `k`
+/// ids costs `O(log k)`.
+fn gallop(s: &[u32], x: u32) -> usize {
+    if s.first().is_none_or(|&v| v >= x) {
+        return 0;
+    }
+    // Invariant: s[lo] < x.
+    let (mut lo, mut step) = (0, 1);
+    while lo + step < s.len() && s[lo + step] < x {
+        lo += step;
+        step *= 2;
+    }
+    let end = (lo + step).min(s.len());
+    lo + 1 + s[lo + 1..end].partition_point(|&v| v < x)
 }
 
 /// Union of sorted id lists (deduplicated, sorted). The longest list —
@@ -249,6 +276,7 @@ pub struct IndexStats {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use std::collections::BTreeSet;
 
     /// A sorted, duplicate-free id list (a posting list) of up to
     /// `max_len - 1` ids below `universe`.
@@ -272,6 +300,19 @@ mod tests {
         ]
     }
 
+    /// Pairs of posting lists in the shapes a route intersects: identical
+    /// lists, disjoint id ranges (one family's postings against another's),
+    /// one id against a long list (1-vs-100k skew), and interleaved ids.
+    fn list_pairs() -> impl Strategy<Value = (Vec<u32>, Vec<u32>)> {
+        prop_oneof![
+            sorted_set(5000, 400).prop_map(|a| (a.clone(), a)),
+            (sorted_set(5000, 300), sorted_set(5000, 300))
+                .prop_map(|(a, b)| (a, b.iter().map(|x| x + 5000).collect())),
+            (0u32..100_000).prop_map(|x| (vec![x], (0..100_000).step_by(2).collect())),
+            (sorted_set(2000, 500), sorted_set(2000, 500)),
+        ]
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(300))]
 
@@ -282,6 +323,24 @@ mod tests {
             oracle.sort_unstable();
             oracle.dedup();
             prop_assert_eq!(union(&refs), oracle);
+        }
+
+        #[test]
+        fn galloping_intersection_matches_btreeset(pair in list_pairs()) {
+            let (a, b) = pair;
+            let oracle: Vec<u32> = a
+                .iter()
+                .copied()
+                .collect::<BTreeSet<u32>>()
+                .intersection(&b.iter().copied().collect())
+                .copied()
+                .collect();
+            let mut out = Vec::new();
+            intersect_into(&a, &b, &mut out);
+            prop_assert_eq!(&out, &oracle);
+            out.clear();
+            intersect_into(&b, &a, &mut out);
+            prop_assert_eq!(&out, &oracle);
         }
     }
 
@@ -312,11 +371,18 @@ mod tests {
 
     #[test]
     fn merge_helpers() {
-        assert_eq!(intersect(vec![&[1, 2, 3, 9], &[2, 3, 4], &[0, 2, 3]]), [2, 3]);
+        let mut out = Vec::new();
+        intersect_into(&[1, 2, 3, 9], &[2, 3, 4, 9], &mut out);
+        assert_eq!(out, [2, 3, 9]);
+        assert_eq!(gallop(&[1, 5, 9], 5), 1);
+        assert_eq!(gallop(&[1, 2, 3], 5), 3);
+        assert_eq!(gallop(&[], 5), 0);
         assert_eq!(union(&[&[1, 5], &[2, 5, 7]]), [1, 2, 5, 7]);
         assert_eq!(union(&[]), Vec::<u32>::new());
-        let mut cur = vec![1u32, 2, 3];
-        intersect_with(&mut cur, &[2, 3, 4]);
-        assert_eq!(cur, [2, 3]);
+        // Requirements: rarest first, a predicate's slices stay separate.
+        let (a, b, c): (&[u32], &[u32], &[u32]) = (&[0, 1, 2, 7], &[2, 7, 8], &[7]);
+        assert_eq!(intersect_all(vec![vec![a], vec![b, c]]).unwrap().as_ref(), [2, 7]);
+        assert_eq!(intersect_all(vec![vec![a], vec![]]).unwrap().as_ref(), [] as [u32; 0]);
+        assert!(intersect_all(vec![]).is_none());
     }
 }

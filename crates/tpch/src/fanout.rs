@@ -102,26 +102,48 @@ $n/n_nationkey, $n/n_name
 /// ASG builder and every partition family covers its whole key space, so
 /// any in-range update key has exactly one relevant partition per family.
 pub fn many_views(n: usize, scale: Scale) -> Vec<(String, String)> {
-    let n_orders = scale.customers * scale.orders_per_customer;
-    // Family sizes: half customer partitions, a third order partitions,
-    // the rest geo — at least one of each once n ≥ 3.
-    let cust_n = (n / 2).max(1);
-    let ord_n = (n / 3).max(usize::from(n > 1));
-    let geo_n = n.saturating_sub(cust_n + ord_n);
+    let [(cust_n, customers), (ord_n, n_orders), (geo_n, nations)] = families(n, scale);
     let mut out = Vec::with_capacity(n);
     for i in 0..cust_n {
-        let (lo, hi) = partition(i, cust_n, scale.customers.max(1));
+        let (lo, hi) = partition(i, cust_n, customers);
         out.push((format!("cust_p{i:03}"), cust_view(lo, hi)));
     }
     for i in 0..ord_n {
-        let (lo, hi) = partition(i, ord_n, n_orders.max(1));
+        let (lo, hi) = partition(i, ord_n, n_orders);
         out.push((format!("ord_p{i:03}"), ord_view(lo, hi)));
     }
     for i in 0..geo_n {
-        let (lo, hi) = partition(i, geo_n, 25);
+        let (lo, hi) = partition(i, geo_n, nations);
         out.push((format!("geo_p{i:03}"), geo_view(lo, hi)));
     }
     out
+}
+
+/// `(partitions, key universe)` of the cust, ord and geo families of an
+/// `n`-view [`many_views`] catalog: half customer partitions, a third
+/// order partitions, the rest geo — at least one of each once n ≥ 3.
+fn families(n: usize, scale: Scale) -> [(usize, usize); 3] {
+    let cust_n = (n / 2).max(1);
+    let ord_n = (n / 3).max(usize::from(n > 1));
+    let geo_n = n.saturating_sub(cust_n + ord_n);
+    let n_orders = scale.customers * scale.orders_per_customer;
+    [(cust_n, scale.customers.max(1)), (ord_n, n_orders.max(1)), (geo_n, 25)]
+}
+
+/// One update per family of an `n`-view [`many_views`] catalog, keyed at
+/// the low end of the family's last partition: the top of each key range,
+/// which [`fanout_stream`]'s keys (drawn from the database's key space)
+/// rarely reach once partitions outnumber keys.
+pub fn top_partition_updates(n: usize, scale: Scale) -> Vec<String> {
+    let shapes: [fn(i64) -> String; 3] = [
+        fanout_updates::delete_customer_orders,
+        fanout_updates::delete_order_lineitems,
+        fanout_updates::delete_nation,
+    ];
+    (families(n, scale).into_iter().zip(shapes))
+        .filter(|((parts, _), _)| *parts > 0)
+        .map(|((parts, universe), shape)| shape(partition(parts - 1, parts, universe).0 as i64))
+        .collect()
 }
 
 /// Update texts addressing the [`many_views`] catalog by shape and key.
@@ -217,6 +239,19 @@ mod tests {
             }
             assert!(covered.into_iter().all(|c| c), "gap with {n} partitions");
         }
+    }
+
+    #[test]
+    fn top_partition_updates_key_each_familys_last_partition() {
+        // 10,000 views over the tiny scale: 5,000 cust partitions over 12
+        // customers, 3,333 ord partitions over 36 orders, 1,667 geo
+        // partitions over 25 nations — every partition one key wide.
+        let updates = top_partition_updates(10_000, Scale::tiny());
+        assert_eq!(updates.len(), 3);
+        assert!(updates[0].contains(r#"c_custkey/text() = "4999""#), "{}", updates[0]);
+        assert!(updates[1].contains(r#"o_orderkey/text() = "3332""#), "{}", updates[1]);
+        assert!(updates[2].contains(r#"n_nationkey/text() = "1666""#), "{}", updates[2]);
+        assert_eq!(top_partition_updates(1, Scale::tiny()).len(), 1, "one cust view only");
     }
 
     #[test]

@@ -11,7 +11,7 @@ pub mod schema;
 pub mod views;
 pub mod workload;
 
-pub use fanout::{fanout_stream, fanout_updates, many_views};
+pub use fanout::{fanout_stream, fanout_updates, many_views, top_partition_updates};
 pub use gen::{generate, Scale};
 pub use schema::tpch_schema;
 pub use views::{updates, vfail_for, V_BUSH, V_FAIL, V_LINEAR, V_SUCCESS};

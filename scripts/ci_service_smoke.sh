@@ -255,11 +255,14 @@ for STRATEGY in outside hybrid internal; do
 done
 echo "strategy-drift smoke OK"
 
-# ---- route-scale phase: 10k-view trie build + 50-update route -----------
+# ---- route-scale phase: 10k-view trie build + warm route ratio ----------
 # Bounded scale check on the shared path-trie router: build a 10^4-view
 # signature catalog into the trie AND the legacy linear index, route a
-# 50-update stream through both, and fail on any candidate-set divergence
-# (the binary exits non-zero on mismatch).
+# 50-update stream plus each family's last-partition key through both, and
+# fail on any candidate-set divergence (the binary exits non-zero on
+# mismatch). Both indexes are timed warm in one process, so their ratio
+# does not depend on the host's speed: the trie must route at least 300x
+# faster than the linear walk.
 FIGS=${PAPER_FIGURES_BIN:-target/release/paper-figures}
 SMOKE=$(timeout 120 "$FIGS" routesmoke --n 10000 --updates 50)
 echo "$SMOKE"
@@ -267,4 +270,11 @@ grep -q '^route-smoke OK n=10000 updates=50 ' <<< "$SMOKE" \
     || { echo "FAIL: route-scale smoke did not report OK"; exit 1; }
 NODES=$(tr ' ' '\n' <<< "$SMOKE" | sed -n 's/^trie_nodes=\([0-9]*\)$/\1/p')
 [ "$NODES" -ge 1 ] || { echo "FAIL: route-scale smoke built an empty trie"; exit 1; }
-echo "route-scale smoke OK"
+TRIE_US=$(tr ' ' '\n' <<< "$SMOKE" | sed -n 's/^trie_us=\([0-9.]*\)$/\1/p')
+LINEAR_US=$(tr ' ' '\n' <<< "$SMOKE" | sed -n 's/^linear_us=\([0-9.]*\)$/\1/p')
+[[ "$TRIE_US" =~ ^[0-9.]+$ && "$LINEAR_US" =~ ^[0-9.]+$ ]] \
+    || { echo "FAIL: route-scale smoke lacks trie_us/linear_us"; exit 1; }
+RATIO=$(awk -v t="$TRIE_US" -v l="$LINEAR_US" 'BEGIN { printf "%.1f", (t > 0 ? l / t : 1e9) }')
+awk -v r="$RATIO" 'BEGIN { exit !(r >= 300) }' \
+    || { echo "FAIL: warm trie routes only ${RATIO}x faster than the linear walk (need >= 300x)"; exit 1; }
+echo "route-scale smoke OK (linear/trie = ${RATIO}x)"

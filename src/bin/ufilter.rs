@@ -785,14 +785,19 @@ fn run() -> Result<bool, String> {
                 }
             }
             let f = report.fanout;
+            // The per-level split is computed on demand; an update that does
+            // not parse routes to every view and prunes nowhere.
+            let levels = u_filter::xquery::parse_update(&update)
+                .map(|u| catalog.prune_levels(&u))
+                .unwrap_or_default();
             println!(
                 "--- views={} candidates={} pruned={} (tags={} paths={} preds={}) fallbacks={}",
                 f.views,
                 f.candidates,
                 f.pruned,
-                f.pruned_tags,
-                f.pruned_paths,
-                f.pruned_preds,
+                levels.tags,
+                levels.paths,
+                levels.preds,
                 f.fallbacks
             );
             Ok(all_ok)

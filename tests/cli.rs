@@ -18,6 +18,13 @@ fn ufilter(args: &[&str]) -> (String, String, Option<i32>) {
 
 const BASE: [&str; 4] = ["--schema", "fixtures/book.sql", "--view", "fixtures/bookview.xq"];
 
+/// A scratch file path under cargo's per-test-target temporary directory
+/// (cargo creates it; the CLI gets the absolute path).
+fn scratch(name: &str) -> String {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    path.to_str().expect("utf-8 temp path").to_string()
+}
+
 fn with_base(rest: &[&str]) -> Vec<&'static str> {
     // Leak is fine in tests; keeps helper signatures simple.
     let mut v: Vec<&'static str> = BASE.to_vec();
@@ -91,18 +98,13 @@ INSERT
 <book><bookid>98009</bookid><title>T</title><price>20.00</price>
 <publisher><pubid>A01</pubid><pubname>McGraw-Hill Inc.</pubname></publisher>
 </book> }"#;
-    std::fs::write(
-        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("target/strict_test_update.xq"),
-        insert,
-    )
-    .unwrap();
-    let (stdout, _, code) =
-        ufilter(&with_base(&["--mode", "strict", "check", "target/strict_test_update.xq"]));
+    let update = scratch("strict_test_update.xq");
+    std::fs::write(&update, insert).unwrap();
+    let (stdout, _, code) = ufilter(&with_base(&["--mode", "strict", "check", &update]));
     assert_eq!(code, Some(1));
     assert!(stdout.contains("unsafe-insert"), "{stdout}");
     // Refined mode accepts it (publisher A01 exists).
-    let (stdout, _, code) =
-        ufilter(&with_base(&["--mode", "refined", "check", "target/strict_test_update.xq"]));
+    let (stdout, _, code) = ufilter(&with_base(&["--mode", "refined", "check", &update]));
     assert_eq!(code, Some(0), "{stdout}");
 }
 
@@ -129,7 +131,7 @@ fn check_batch_reports_stream_outcomes_and_stats() {
 #[test]
 fn check_batch_ignores_comment_lines() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let batch = root.join("target/cli_comments.ubatch");
+    let batch = scratch("cli_comments.ubatch");
     let text = format!(
         "-- a leading comment
 -- view: books
@@ -145,7 +147,7 @@ fn check_batch_ignores_comment_lines() {
         "--catalog",
         "fixtures/views.cat",
         "check-batch",
-        batch.to_str().unwrap(),
+        &batch,
     ]);
     assert_eq!(code, Some(0), "{stdout}");
     assert!(stdout.contains("[1] books: translatable"), "{stdout}");
@@ -161,19 +163,18 @@ fn check_batch_rejects_a_header_without_one_view_name() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let u8_text = std::fs::read_to_string(root.join("fixtures/u8.xq")).unwrap();
     for (i, header) in ["-- view:", "-- view: my books"].into_iter().enumerate() {
-        let rel = format!("target/cli_bad_header{i}.ubatch");
-        std::fs::write(root.join(&rel), format!("{header}\n{u8_text}-- view: books\n{u8_text}"))
-            .unwrap();
+        let path = scratch(&format!("cli_bad_header{i}.ubatch"));
+        std::fs::write(&path, format!("{header}\n{u8_text}-- view: books\n{u8_text}")).unwrap();
         let (stdout, stderr, code) = ufilter(&[
             "--schema",
             "fixtures/book.sql",
             "--catalog",
             "fixtures/views.cat",
             "check-batch",
-            &rel,
+            &path,
         ]);
         assert_eq!(code, Some(2), "{header:?}: {stdout}{stderr}");
-        assert!(stderr.contains(&format!("{rel}:1: ")), "{header:?}: {stderr}");
+        assert!(stderr.contains(&format!("{path}:1: ")), "{header:?}: {stderr}");
         assert!(stdout.is_empty(), "{header:?}: {stdout}");
     }
 }
@@ -208,9 +209,9 @@ fn missing_catalog_manifest_is_an_error() {
 /// Names that would corrupt the line-oriented manifest are rejected.
 #[test]
 fn catalog_add_rejects_unrepresentable_names() {
-    let cat = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("target/cli_badname.cat");
+    let cat = scratch("cli_badname.cat");
     let _ = std::fs::remove_file(&cat);
-    let cat = cat.to_str().unwrap();
+    let cat = cat.as_str();
     for bad in ["#books", "a=b", "two words"] {
         let (_, stderr, code) = ufilter(&[
             "--schema",
@@ -238,9 +239,9 @@ fn unknown_option_is_rejected() {
 
 #[test]
 fn catalog_add_list_drop_roundtrip() {
-    let cat = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("target/cli_roundtrip.cat");
+    let cat = scratch("cli_roundtrip.cat");
     let _ = std::fs::remove_file(&cat);
-    let cat = cat.to_str().unwrap();
+    let cat = cat.as_str();
 
     let (stdout, _, code) = ufilter(&[
         "--schema",
@@ -458,8 +459,7 @@ fn check_all_fans_out_with_pruning_stats() {
 /// the book partitions are pruned wholesale.
 #[test]
 fn check_all_routes_publisher_updates_away_from_book_partitions() {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let upd = root.join("target/cli_pub_update.xq");
+    let upd = scratch("cli_pub_update.xq");
     std::fs::write(
         &upd,
         "FOR $p IN document(\"V.xml\")/publisher\n\
@@ -473,7 +473,7 @@ fn check_all_routes_publisher_updates_away_from_book_partitions() {
         "--catalog",
         "fixtures/views_many.cat",
         "check-all",
-        upd.to_str().unwrap(),
+        &upd,
     ]);
     let views: Vec<&str> = stdout
         .lines()

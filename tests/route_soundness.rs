@@ -19,7 +19,7 @@ use u_filter::asg::build_view_asg;
 use u_filter::core::catalog::{BatchReport, Target, ViewCatalog};
 use u_filter::core::wire::encode_outcome;
 use u_filter::core::{bookdemo, wire_outcome_is_irrelevant, ProbeCache};
-use u_filter::route::{RelevanceIndex, TrieIndex};
+use u_filter::route::{Footprint, PruneLevels, RelevanceIndex, TrieIndex};
 use u_filter::tpch::{
     fanout_stream, generate, many_views, stream, stream_views, tpch_schema, Scale, StreamSpec,
 };
@@ -142,10 +142,19 @@ fn fanout_actually_prunes_partitioned_catalogs() {
         "partitioned catalog should route each update to ~1 view, got {f:?}"
     );
     assert!(f.pruned >= 16 * 20, "expected heavy pruning over 24 views, got {f:?}");
-    // All three levels contribute on this workload.
-    assert!(f.pruned_tags > 0, "{f:?}");
-    assert!(f.pruned_paths > 0, "{f:?}");
-    assert!(f.pruned_preds > 0, "{f:?}");
+    // All three levels contribute on this workload, and the on-demand
+    // split adds up to what routing pruned.
+    let mut split = PruneLevels::default();
+    for text in &updates {
+        let levels = catalog.prune_levels(&parse_update(text).expect("fan-out update parses"));
+        split.tags += levels.tags;
+        split.paths += levels.paths;
+        split.preds += levels.preds;
+    }
+    assert!(split.tags > 0, "{split:?}");
+    assert!(split.paths > 0, "{split:?}");
+    assert!(split.preds > 0, "{split:?}");
+    assert_eq!(split.tags + split.paths + split.preds, f.pruned, "{split:?} vs {f:?}");
 }
 
 /// The aggregate/Distinct extension must not perturb routing soundness:
@@ -220,10 +229,10 @@ UPDATE $root { INSERT <book><title>T</title><price>9.99</price></book> }"#
 }
 
 /// Route every parseable update through both indexes and demand the full
-/// [`u_filter::route::Route`] — candidates, per-level pruning counters and
-/// the fallback flag — is identical. The trie may *compute* pruning
-/// differently (shared nodes, interval stabs), but it must never *decide*
-/// differently.
+/// [`u_filter::route::Route`] — candidates, view count and the fallback
+/// flag — and the on-demand per-level split are identical. The trie may
+/// *compute* pruning differently (one rarest-first intersection, interval
+/// stabs), but it must never *decide* differently, at any level.
 fn assert_indexes_agree(trie: &TrieIndex, linear: &RelevanceIndex, updates: &[String], ctx: &str) {
     for text in updates {
         let Ok(u) = parse_update(text) else { continue };
@@ -231,6 +240,12 @@ fn assert_indexes_agree(trie: &TrieIndex, linear: &RelevanceIndex, updates: &[St
             trie.route(&u),
             linear.route(&u),
             "trie and linear walk diverged ({ctx})\nupdate: {text}"
+        );
+        let fp = Footprint::of(&u);
+        assert_eq!(
+            trie.prune_levels(&fp),
+            linear.prune_levels(&fp),
+            "trie and linear per-level split diverged ({ctx})\nupdate: {text}"
         );
     }
 }

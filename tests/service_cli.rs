@@ -6,6 +6,13 @@
 use std::io::{BufRead, BufReader};
 use std::process::{Child, Command, Stdio};
 
+/// A scratch file path under cargo's per-test-target temporary directory
+/// (cargo creates it; the client gets the absolute path).
+fn scratch(name: &str) -> String {
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(name);
+    path.to_str().expect("utf-8 temp path").to_string()
+}
+
 fn bin() -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_ufilter"));
     cmd.current_dir(env!("CARGO_MANIFEST_DIR"));
@@ -162,7 +169,7 @@ fn serve_checkall_matches_check_all_byte_for_byte() {
 #[test]
 fn client_batchall_roundtrip() {
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
-    let uall = root.join("target/service_cli.uall");
+    let uall = scratch("service_cli.uall");
     let text = format!(
         "-- update\n{}\n-- update\n{}\n",
         std::fs::read_to_string(root.join("fixtures/u8.xq")).unwrap().trim(),
@@ -170,7 +177,7 @@ fn client_batchall_roundtrip() {
     );
     std::fs::write(&uall, text).unwrap();
     let serve = Serve::spawn("2");
-    let (out, code) = serve.client("batchall target/service_cli.uall\n");
+    let (out, code) = serve.client(&format!("batchall {uall}\n"));
     assert_eq!(code, Some(0), "{out}");
     assert!(out.contains("[1] books: translatable"), "{out}");
     assert!(out.contains("[2] books: untranslatable"), "{out}");
@@ -187,13 +194,12 @@ fn client_batch_rejects_a_header_without_one_view_name() {
     let u8_text = std::fs::read_to_string(root.join("fixtures/u8.xq")).unwrap();
     let serve = Serve::spawn("2");
     for (i, header) in ["-- view:", "-- view: my books"].into_iter().enumerate() {
-        let rel = format!("target/service_cli_bad_header{i}.ubatch");
-        std::fs::write(root.join(&rel), format!("{header}\n{u8_text}-- view: books\n{u8_text}"))
-            .unwrap();
-        let out = serve.client_output(&format!("batch {rel}\n"));
+        let path = scratch(&format!("service_cli_bad_header{i}.ubatch"));
+        std::fs::write(&path, format!("{header}\n{u8_text}-- view: books\n{u8_text}")).unwrap();
+        let out = serve.client_output(&format!("batch {path}\n"));
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{header:?}: {stderr}");
-        assert!(stderr.contains(&format!("{rel}:1: ")), "{header:?}: {stderr}");
+        assert!(stderr.contains(&format!("{path}:1: ")), "{header:?}: {stderr}");
         assert!(out.stdout.is_empty(), "{header:?}: {}", String::from_utf8_lossy(&out.stdout));
     }
     let (stats, _) = serve.client("stats\n");
