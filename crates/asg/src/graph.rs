@@ -290,18 +290,6 @@ impl ViewAsg {
         asg
     }
 
-    /// Reassemble an ASG from previously extracted parts (node list, root
-    /// id, relation list). The non-injective summary is recomputed from the
-    /// node marks, so a graph round-tripped through an external encoding
-    /// (the catalog persistence layer) classifies identically. Node ids must
-    /// be consistent: `nodes[i].id == AsgNodeId(i)` and all parent/child
-    /// links in range.
-    pub fn from_parts(nodes: Vec<AsgNode>, root: AsgNodeId, relations: Vec<String>) -> ViewAsg {
-        let mut asg = ViewAsg { nodes, root, relations, non_injective_any: false };
-        asg.refresh_non_injective_summary();
-        asg
-    }
-
     /// Whether any node carries the non-injective mark or an aggregate gate
     /// (aggregate nodes are always marked, so this also implies
     /// [`aggregate_sources`](Self::aggregate_sources) may be non-empty).

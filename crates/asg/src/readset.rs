@@ -14,9 +14,9 @@
 //! * one entry per `Distinct()` region: the relations it scans and its
 //!   constant membership predicates (for domain-disjointness reasoning).
 //!
-//! Extraction is a pure function of the graph, so the result can be
-//! persisted beside the STAR marks and rehydrated on warm restart without
-//! re-running the analysis.
+//! Extraction is a pure function of the graph, run once per compile; a
+//! view replayed from a durable catalog extracts it when it compiles at its
+//! first check.
 
 use ufilter_rdb::ColRef;
 

@@ -43,7 +43,7 @@ fn main() {
         "routesmoke" => {
             print!("{}", bench::route_smoke(flag("--n", 10_000), flag("--updates", 50)))
         }
-        // Durable restart: warm artifact rehydrate vs cold recompile;
+        // Durable restart: warm prelude replay vs cold recompile;
         // redirect to BENCH_persist.json at the repo root.
         "persist" => print!("{}", bench::persist_json(reps)),
         "fig12" => print!("{}", bench::fig12()),

@@ -234,25 +234,24 @@ impl FanoutStats {
     }
 }
 
-/// What a lazily-recovered view needs to build its [`UFilter`] on first
-/// use: the canonical view text, the persisted artifact bytes, the schema
-/// as of the view's position in the replayed record order, and the
-/// catalog's pipeline config.
+/// What a replayed view needs to compile its [`UFilter`] on first use: the
+/// canonical view text, the schema as of the view's position in the
+/// replayed record order, and the catalog's pipeline config.
 struct HydrationSeed {
     view_text: String,
-    artifact: Vec<u8>,
     schema: Arc<DatabaseSchema>,
     config: UFilterConfig,
 }
 
 struct Registered {
     /// The compiled filter — set immediately by [`ViewCatalog::add`],
-    /// hydrated from `seed` on first use for replayed views.
-    filter: OnceLock<Arc<UFilter>>,
-    /// Deferred-hydration seed (replayed views only).
+    /// compiled from `seed` on first use for replayed views (see
+    /// [`filter`](Self::filter) for the error case).
+    filter: OnceLock<Result<Arc<UFilter>, CompileError>>,
+    /// Deferred-compile seed (replayed views only).
     seed: Option<HydrationSeed>,
     /// `rel(DEF_V)` in compile order — kept outside the filter so `list`
-    /// and the wire `CATALOG LIST` never force hydration.
+    /// and the wire `CATALOG LIST` never force a compile.
     relations: Vec<String>,
     cached: bool,
 }
@@ -261,7 +260,7 @@ impl Registered {
     fn eager(filter: Arc<UFilter>, cached: bool) -> Registered {
         let relations = filter.asg.relations.clone();
         let cell = OnceLock::new();
-        let _ = cell.set(filter);
+        let _ = cell.set(Ok(filter));
         Registered { filter: cell, seed: None, relations, cached }
     }
 
@@ -269,33 +268,19 @@ impl Registered {
         Registered { filter: OnceLock::new(), seed: Some(seed), relations, cached }
     }
 
-    /// The compiled filter, hydrating from the persisted artifact on first
-    /// use. Decoding cannot fail for bytes the store wrote (they are
-    /// CRC-checked on the way in); any damage that slips through falls
-    /// back to recompiling the canonical view text, which parsed when the
-    /// view was originally registered.
-    fn filter(&self) -> &Arc<UFilter> {
-        self.filter.get_or_init(|| {
-            let seed = self.seed.as_ref().expect("unhydrated entry carries a seed");
-            let decoded = persist::decode_artifact(&seed.artifact)
-                .ok()
-                .filter(|(config, _, _, _)| *config == seed.config)
-                .map(|(config, asg, marking, read_sets)| {
-                    UFilter::from_artifact(
-                        seed.view_text.clone(),
-                        (*seed.schema).clone(),
-                        asg,
-                        marking,
-                        read_sets,
-                        config,
-                    )
-                });
-            Arc::new(decoded.unwrap_or_else(|| {
+    /// The compiled filter. A replayed view compiles its recorded text
+    /// against its recorded schema snapshot on first use. That text
+    /// compiled when the view was registered, so the compile fails only
+    /// when the base schema changed between runs; the error is kept and
+    /// reported by every check of the view.
+    fn filter(&self) -> Result<&Arc<UFilter>, &CompileError> {
+        self.filter
+            .get_or_init(|| {
+                let seed = self.seed.as_ref().expect("uncompiled entry carries a seed");
                 UFilter::compile(&seed.view_text, &seed.schema)
-                    .map(|f| f.with_config(seed.config))
-                    .expect("replayed view text compiled when originally registered")
-            }))
-        })
+                    .map(|f| Arc::new(f.with_config(seed.config)))
+            })
+            .as_ref()
     }
 }
 
@@ -358,15 +343,16 @@ impl ViewCatalog {
         self.store.as_ref()
     }
 
-    /// Append `record` to the attached store (no-op without one). Called
-    /// before the corresponding in-memory mutation, so a crash can lose an
-    /// unacknowledged operation but never an acknowledged one.
-    fn append_record(&self, record: &LogRecord) -> Result<(), CatalogError> {
+    /// Append the record `build` makes to the attached store; without a
+    /// store nothing is built or written. Called before the corresponding
+    /// in-memory mutation, so a crash can lose an unacknowledged operation
+    /// but never an acknowledged one.
+    fn append_record(&self, build: impl FnOnce() -> LogRecord) -> Result<(), CatalogError> {
         if let Some(store) = &self.store {
             store
                 .lock()
                 .expect("catalog store lock")
-                .append(record)
+                .append(&build())
                 .map_err(|e| CatalogError::Persist { detail: e.to_string() })?;
         }
         Ok(())
@@ -419,12 +405,12 @@ impl ViewCatalog {
             }
         };
         let sig = ViewSignature::of(&filter.asg);
-        self.append_record(&LogRecord::Add {
+        self.append_record(|| LogRecord::Add {
             name: name.to_string(),
             view_text: canonical,
             deps: filter.asg.relations.clone(),
             cached,
-            artifact: persist::encode_artifact(&filter, &sig),
+            artifact: persist::encode_artifact(filter.config, &sig),
         })?;
         let info =
             ViewInfo { name: name.to_string(), relations: filter.asg.relations.clone(), cached };
@@ -434,10 +420,11 @@ impl ViewCatalog {
     }
 
     /// The compiled filter registered under `name`. A view recovered by
-    /// [`replay`](Self::replay) hydrates from its persisted artifact on
-    /// the first call.
+    /// [`replay`](Self::replay) compiles its recorded text on the first
+    /// call, and yields `None` if that text no longer compiles (the base
+    /// schema changed between runs).
     pub fn get(&self, name: &str) -> Option<&UFilter> {
-        self.views.get(name).map(|r| r.filter().as_ref())
+        self.views.get(name)?.filter().ok().map(|f| f.as_ref())
     }
 
     /// All registered views, in **ascending name order** (a documented
@@ -461,7 +448,7 @@ impl ViewCatalog {
         if !self.views.contains_key(name) {
             return Err(CatalogError::UnknownView { name: name.to_string() });
         }
-        self.append_record(&LogRecord::Drop { name: name.to_string() })?;
+        self.append_record(|| LogRecord::Drop { name: name.to_string() })?;
         self.views.remove(name);
         self.index.remove(name);
         Ok(())
@@ -544,13 +531,12 @@ impl ViewCatalog {
         self.index.stats()
     }
 
-    /// How many registered views hold a *hydrated* compiled filter (their
-    /// ASG has been decoded or compiled). Replayed views hydrate lazily on
-    /// first check, so right after a warm restart this is 0 even though
-    /// the routing index is fully populated — the invariant the
-    /// persist+route integration test pins.
+    /// How many registered views hold a *hydrated* compiled filter.
+    /// Replayed views compile lazily on first check, so right after a warm
+    /// restart this is 0 even though the routing index is fully populated —
+    /// the invariant the persist+route integration test pins.
     pub fn hydrated_count(&self) -> usize {
-        self.views.values().filter(|r| r.filter.get().is_some()).count()
+        self.views.values().filter(|r| matches!(r.filter.get(), Some(Ok(_)))).count()
     }
 
     /// The catalog's RESTRICT rule: reject schema-affecting DDL (see
@@ -584,7 +570,7 @@ impl ViewCatalog {
         let ddl = is_schema_ddl(&stmt);
         let out = self.execute_guarded_stmt(db, stmt)?;
         if ddl {
-            self.append_record(&LogRecord::Ddl { sql: sql.to_string() })?;
+            self.append_record(|| LogRecord::Ddl { sql: sql.to_string() })?;
         }
         Ok(out)
     }
@@ -622,18 +608,18 @@ impl ViewCatalog {
 
     // ---- durable-store replay (ufilter_core::persist) ------------------
 
-    /// Re-register a view from a durable `Add` record, preferring its
-    /// serialized compile artifact over recompiling. Resolution order:
-    /// **deferred hydration** (the artifact prelude's routing signature
-    /// feeds the relevance index immediately; the ASG + marking decode
-    /// waits for the view's first check — accepted only when the prelude
-    /// carries this catalog's exact pipeline config) → compile-once cache
-    /// hit on the canonical text → full recompile of `view_text`.
-    /// `deps` is the record's relation list, restored verbatim along with
-    /// the `cached` flag so `CATALOG LIST` output is byte-identical after
-    /// a restart. Returns whether compiling was skipped.
+    /// Re-register a view from a durable `Add` record without compiling it
+    /// when its artifact allows. Resolution order: **deferred compile**
+    /// (the artifact prelude's routing signature feeds the relevance index
+    /// immediately, and the view compiles its text at its first check —
+    /// accepted only when the prelude carries this catalog's exact
+    /// pipeline config) → compile-once cache hit on the canonical text →
+    /// eager compile of `view_text`. `deps` is the record's relation list,
+    /// restored verbatim along with the `cached` flag so `CATALOG LIST`
+    /// output is byte-identical after a restart. Returns whether compiling
+    /// was skipped.
     ///
-    /// `schema` is the snapshot a lazily-hydrated view compiles against:
+    /// `schema` is the snapshot a deferred view compiles against:
     /// [`replay`](Self::replay) clones the schema once per DDL epoch
     /// instead of once per view. This is a replay building block: it never
     /// appends to an attached store.
@@ -653,15 +639,13 @@ impl ViewCatalog {
             if config == self.config {
                 // The prelude carries everything registration needs (the
                 // routing signature and the config it was compiled under);
-                // the ASG + marking decode is deferred to the view's first
-                // check. Structural damage deeper in the artifact surfaces
-                // there as a silent recompile, never an error. This path
-                // does not even canonicalize the view text — replay cost per
-                // warm view is the header decode plus two index inserts.
+                // the compile is deferred to the view's first check. This
+                // path does not even canonicalize the view text — replay
+                // cost per warm view is the prelude decode plus the index
+                // insert.
                 self.index.insert_signature(name, sig);
                 let seed = HydrationSeed {
                     view_text: view_text.to_string(),
-                    artifact: artifact.to_vec(),
                     schema: Arc::clone(schema),
                     config,
                 };
@@ -671,7 +655,7 @@ impl ViewCatalog {
         }
         // Blank, damaged, or foreign-version/config artifact: fall back to
         // the compile-once cache on the canonical text, then to an eager
-        // recompile.
+        // compile.
         let key = (canonicalize(view_text), self.config);
         if let Some(f) = self.compiled.get(&key) {
             // Identical text already compiled this session: share it.
@@ -692,11 +676,11 @@ impl ViewCatalog {
     }
 
     /// Rebuild the catalog from recovered records, in order: `Add`s
-    /// rehydrate (preferring the persisted compile artifact, deferring its
-    /// ASG decode to the view's first check), `Drop`s unregister, `Ddl`s
-    /// re-execute against `db` through the normal guarded path — so the
-    /// relevance index, dependency postings and schema epoch come out
-    /// exactly as if the original session had run.
+    /// register from their artifact prelude (each view compiles its text at
+    /// its first check), `Drop`s unregister, `Ddl`s re-execute against `db`
+    /// through the normal guarded path — so the relevance index,
+    /// dependency postings and schema epoch come out exactly as if the
+    /// original session had run.
     ///
     /// Must be called **before** [`attach_store`](Self::attach_store):
     /// replayed records are already on disk, and an attached store would
@@ -712,10 +696,9 @@ impl ViewCatalog {
             });
         }
         let mut stats = ReplayStats::default();
-        // One schema snapshot per DDL epoch: every lazily-hydrated view
-        // captures the schema as of its position in the record order (the
-        // schema it was originally compiled against), without a per-view
-        // clone.
+        // One schema snapshot per DDL epoch: every deferred view captures
+        // the schema as of its position in the record order (the schema it
+        // was originally compiled against), without a per-view clone.
         let mut schema_epoch = Arc::new(self.schema.clone());
         for record in records {
             stats.records += 1;
@@ -835,8 +818,9 @@ impl ViewCatalog {
         let (hits_before, misses_before) = (cache.hits(), cache.misses());
         let mut stats = BatchStats { items: stream.len(), ..BatchStats::default() };
         let mut items: Vec<BatchItemReport> = Vec::with_capacity(stream.len());
-        // (view, target node) → resolved work items awaiting the group pass.
-        type Group<'a> = Vec<(usize, &'a str, Vec<crate::target::ResolvedAction>)>;
+        // (view, target node) → the view's filter and the resolved work
+        // items awaiting the group pass.
+        type Group<'a> = (&'a UFilter, Vec<(usize, &'a str, Vec<crate::target::ResolvedAction>)>);
         let mut groups: BTreeMap<(&str, usize), Group> = BTreeMap::new();
 
         for &(index, view, parsed) in stream {
@@ -851,18 +835,27 @@ impl ViewCatalog {
                     continue;
                 }
             };
-            let Some(reg) = self.views.get(view) else {
-                items.push(BatchItemReport {
-                    index,
-                    view: view.to_string(),
-                    reports: vec![malformed(format!("no view named '{view}' in the catalog"))],
-                });
-                continue;
+            let filter = match self.views.get(view).map(Registered::filter) {
+                Some(Ok(filter)) => filter,
+                unusable => {
+                    let detail = match unusable {
+                        Some(Err(error)) => format!("view '{view}' no longer compiles: {error}"),
+                        _ => format!("no view named '{view}' in the catalog"),
+                    };
+                    items.push(BatchItemReport {
+                        index,
+                        view: view.to_string(),
+                        reports: vec![malformed(detail)],
+                    });
+                    continue;
+                }
             };
-            match resolve(&reg.filter().asg, u) {
+            match resolve(&filter.asg, u) {
                 Ok(actions) => {
                     let target = actions.first().map(|a| a.node.0).unwrap_or(0);
-                    groups.entry((view, target)).or_default().push((index, view, actions));
+                    let group =
+                        groups.entry((view, target)).or_insert_with(|| (filter, Vec::new()));
+                    group.1.push((index, view, actions));
                 }
                 Err(reason) => {
                     // Mirror UFilter::run's resolution-failure report.
@@ -897,8 +890,7 @@ impl ViewCatalog {
             } else {
                 db
             };
-        for ((view, _target), group) in groups {
-            let filter = self.views[view].filter();
+        for (filter, group) in groups.into_values() {
             for (index, view, actions) in group {
                 let reports = filter.run_resolved(&actions, Some(db), false, cache);
                 items.push(BatchItemReport { index, view: view.to_string(), reports });

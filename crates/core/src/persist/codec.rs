@@ -1,40 +1,45 @@
-//! Record and compiled-artifact serialization.
+//! Record and artifact serialization.
 //!
-//! Everything here is deterministic byte-for-byte: unordered collections
-//! (the STAR marking's hash maps) are sorted before encoding, so the same
-//! compiled view always produces the same artifact bytes — the property the
-//! pinned `fixtures/catalog.{snap,log}` format-stability test relies on.
+//! Everything here is deterministic byte-for-byte: the routing signature's
+//! collections are sorted vectors, so the same compiled view always
+//! produces the same artifact bytes — the property the pinned
+//! `fixtures/catalog.{snap,log}` format-stability test relies on.
 //!
 //! Decoding never panics on malformed input: every read is bounds-checked
 //! and returns a descriptive `Err`, which the store surfaces as
 //! [`super::PersistError::Corrupt`].
 
-use std::collections::{HashMap, HashSet};
-
-use ufilter_asg::graph::{
-    AggSource, AsgNode, AsgNodeId, AsgNodeKind, Card, JoinCond, LeafInfo, LocalPred, UContext,
-    UPoint, ViewAsg,
-};
-use ufilter_asg::{DistinctRegion, ReadSets};
 use ufilter_rdb::sat::{Bound, Domain};
-use ufilter_rdb::{CmpOp, ColRef, DataType, Value};
-use ufilter_route::{SignatureParts, ViewSignature};
+use ufilter_rdb::{DataType, Value};
+use ufilter_route::ViewSignature;
 
 use crate::datacheck::Strategy;
-use crate::pipeline::{UFilter, UFilterConfig};
-use crate::star::{StarMarking, StarMode};
+use crate::pipeline::UFilterConfig;
+use crate::star::StarMode;
 
 use super::LogRecord;
 
-/// Version byte of the compiled-artifact encoding (independent of the file
-/// format version: an artifact an older build wrote is simply recompiled
-/// from the record's view text, never a hard error). Version 2 added the
-/// routing-signature block between the config bytes and the ASG, so a warm
-/// restart can rebuild the relevance index without decoding the ASG at all.
-/// Version 3 added the per-node aggregate gate columns and the trailing
-/// read-sets block, so a warm restart skips the independence-analysis
-/// read-set extraction along with everything else.
-pub const ARTIFACT_VERSION: u8 = 3;
+/// Version byte of the artifact encoding (independent of the file format
+/// version: an artifact this build cannot read makes replay recompile the
+/// record's view text, never a hard error).
+///
+/// History:
+/// * 1 — pipeline config, then the STAR-marked view ASG and the marking
+///   side tables.
+/// * 2 — added the routing-signature block between the config and the ASG,
+///   so replay could index a view without decoding its ASG.
+/// * 3 — added the per-node aggregate gate columns and a trailing
+///   read-sets block.
+/// * 4 — the prelude alone: config plus routing signature. Replay never
+///   read the compiled body; a replayed view compiles its recorded text at
+///   its first check instead.
+///
+/// Rule: bump this whenever compile output changes (ASG construction,
+/// STAR marking or signature extraction). The prelude's signature is
+/// derived from that output, so a signature an older build wrote could
+/// route differently from the view its text now compiles to; a bumped
+/// version makes replay recompile such views instead.
+pub const ARTIFACT_VERSION: u8 = 4;
 
 // ---- write primitives --------------------------------------------------
 
@@ -251,15 +256,6 @@ fn read_value(r: &mut Reader) -> Result<Value, String> {
     })
 }
 
-fn put_colref(out: &mut Vec<u8>, c: &ColRef) {
-    put_str(out, &c.table);
-    put_str(out, &c.column);
-}
-
-fn read_colref(r: &mut Reader) -> Result<ColRef, String> {
-    Ok(ColRef { table: r.str()?, column: r.str()? })
-}
-
 fn put_domain(out: &mut Vec<u8>, d: &Domain) {
     let bound = |o: &mut Vec<u8>, b: &Bound| {
         put_value(o, &b.value);
@@ -303,232 +299,22 @@ fn read_datatype(r: &mut Reader) -> Result<DataType, String> {
     })
 }
 
-fn cmpop_code(op: CmpOp) -> u8 {
-    match op {
-        CmpOp::Eq => 0,
-        CmpOp::Ne => 1,
-        CmpOp::Lt => 2,
-        CmpOp::Le => 3,
-        CmpOp::Gt => 4,
-        CmpOp::Ge => 5,
-    }
-}
-
-fn read_cmpop(r: &mut Reader) -> Result<CmpOp, String> {
-    Ok(match r.u8()? {
-        0 => CmpOp::Eq,
-        1 => CmpOp::Ne,
-        2 => CmpOp::Lt,
-        3 => CmpOp::Le,
-        4 => CmpOp::Gt,
-        5 => CmpOp::Ge,
-        t => return Err(format!("unknown comparison op {t}")),
-    })
-}
-
-fn put_agg(out: &mut Vec<u8>, a: &AggSource) {
-    put_str(out, &a.func);
-    put_str(out, &a.table);
-    put_opt(out, &a.column, |o, c| put_str(o, c));
-}
-
-fn read_agg(r: &mut Reader) -> Result<AggSource, String> {
-    Ok(AggSource { func: r.str()?, table: r.str()?, column: r.opt(|r| r.str())? })
-}
-
-fn put_node(out: &mut Vec<u8>, n: &AsgNode) {
-    put_u32(out, n.id.0 as u32);
-    out.push(match n.kind {
-        AsgNodeKind::Root => 0,
-        AsgNodeKind::Internal => 1,
-        AsgNodeKind::Tag => 2,
-        AsgNodeKind::Leaf => 3,
-        AsgNodeKind::Aggregate => 4,
-    });
-    put_str(out, &n.tag);
-    put_opt(out, &n.parent, |o, p| put_u32(o, p.0 as u32));
-    put_vec(out, &n.children, |o, c: &AsgNodeId| put_u32(o, c.0 as u32));
-    out.push(match n.card {
-        Card::One => 0,
-        Card::Opt => 1,
-        Card::Plus => 2,
-        Card::Many => 3,
-    });
-    put_vec(out, &n.conditions, |o, c: &JoinCond| {
-        put_colref(o, &c.left);
-        put_colref(o, &c.right);
-    });
-    put_opt(out, &n.leaf, |o, l: &LeafInfo| {
-        put_colref(o, &l.name);
-        o.push(datatype_code(l.ty));
-        put_bool(o, l.not_null);
-        put_domain(o, &l.check);
-    });
-    put_vec(out, &n.ucbinding, |o, s: &String| put_str(o, s));
-    put_vec(out, &n.upbinding, |o, s: &String| put_str(o, s));
-    put_vec(out, &n.bindings, |o, (var, rel): &(String, String)| {
-        put_str(o, var);
-        put_str(o, rel);
-    });
-    put_vec(out, &n.local_preds, |o, p: &LocalPred| {
-        put_colref(o, &p.column);
-        o.push(cmpop_code(p.op));
-        put_value(o, &p.value);
-    });
-    put_bool(out, n.non_injective);
-    put_opt(out, &n.agg, put_agg);
-    put_vec(out, &n.agg_deps, put_agg);
-    put_vec(out, &n.gate_cols, put_colref);
-    put_opt(out, &n.ucontext, |o, u: &UContext| {
-        put_bool(o, u.safe_delete);
-        put_bool(o, u.safe_insert);
-    });
-    put_opt(out, &n.upoint, |o, u: &UPoint| o.push(matches!(u, UPoint::Dirty) as u8));
-}
-
-fn read_node(r: &mut Reader) -> Result<AsgNode, String> {
-    let id = AsgNodeId(r.u32()? as usize);
-    let kind = match r.u8()? {
-        0 => AsgNodeKind::Root,
-        1 => AsgNodeKind::Internal,
-        2 => AsgNodeKind::Tag,
-        3 => AsgNodeKind::Leaf,
-        4 => AsgNodeKind::Aggregate,
-        t => return Err(format!("unknown node kind {t}")),
-    };
-    let tag = r.str()?;
-    let parent = r.opt(|r| Ok(AsgNodeId(r.u32()? as usize)))?;
-    let children = r.vec(|r| Ok(AsgNodeId(r.u32()? as usize)))?;
-    let card = match r.u8()? {
-        0 => Card::One,
-        1 => Card::Opt,
-        2 => Card::Plus,
-        3 => Card::Many,
-        t => return Err(format!("unknown cardinality {t}")),
-    };
-    let conditions = r.vec(|r| Ok(JoinCond { left: read_colref(r)?, right: read_colref(r)? }))?;
-    let leaf = r.opt(|r| {
-        Ok(LeafInfo {
-            name: read_colref(r)?,
-            ty: read_datatype(r)?,
-            not_null: r.bool()?,
-            check: read_domain(r)?,
-        })
-    })?;
-    let ucbinding = r.vec(|r| r.str())?;
-    let upbinding = r.vec(|r| r.str())?;
-    let bindings = r.vec(|r| Ok((r.str()?, r.str()?)))?;
-    let local_preds = r.vec(|r| {
-        Ok(LocalPred { column: read_colref(r)?, op: read_cmpop(r)?, value: read_value(r)? })
-    })?;
-    let non_injective = r.bool()?;
-    let agg = r.opt(read_agg)?;
-    let agg_deps = r.vec(read_agg)?;
-    let gate_cols = r.vec(read_colref)?;
-    let ucontext = r.opt(|r| Ok(UContext { safe_delete: r.bool()?, safe_insert: r.bool()? }))?;
-    let upoint = r.opt(|r| {
-        Ok(match r.u8()? {
-            0 => UPoint::Clean,
-            1 => UPoint::Dirty,
-            t => return Err(format!("unknown upoint {t}")),
-        })
-    })?;
-    Ok(AsgNode {
-        id,
-        kind,
-        tag,
-        parent,
-        children,
-        card,
-        conditions,
-        leaf,
-        ucbinding,
-        upbinding,
-        bindings,
-        local_preds,
-        non_injective,
-        agg,
-        agg_deps,
-        gate_cols,
-        ucontext,
-        upoint,
-    })
-}
-
-fn put_read_sets(out: &mut Vec<u8>, rs: &ReadSets) {
-    put_vec(out, &rs.sources, put_agg);
-    put_vec(out, &rs.gate_cols, put_colref);
-    put_vec(out, &rs.distinct, |o, d: &DistinctRegion| {
-        put_str(o, &d.tag);
-        put_vec(o, &d.tables, |o, s: &String| put_str(o, s));
-        put_vec(o, &d.preds, |o, p: &LocalPred| {
-            put_colref(o, &p.column);
-            o.push(cmpop_code(p.op));
-            put_value(o, &p.value);
-        });
-    });
-}
-
-fn read_read_sets(r: &mut Reader) -> Result<ReadSets, String> {
-    let sources = r.vec(read_agg)?;
-    let gate_cols = r.vec(read_colref)?;
-    let distinct = r.vec(|r| {
-        Ok(DistinctRegion {
-            tag: r.str()?,
-            tables: r.vec(|r| r.str())?,
-            preds: r.vec(|r| {
-                Ok(LocalPred { column: read_colref(r)?, op: read_cmpop(r)?, value: read_value(r)? })
-            })?,
-        })
-    })?;
-    Ok(ReadSets { sources, gate_cols, distinct })
-}
-
-fn put_marking(out: &mut Vec<u8>, m: &StarMarking) {
-    let mut rule1: Vec<u32> = m.rule1.iter().map(|id| id.0 as u32).collect();
-    rule1.sort_unstable();
-    put_vec(out, &rule1, |o, id| put_u32(o, *id));
-    let mut rule3: Vec<(&AsgNodeId, &Vec<String>)> = m.rule3.iter().collect();
-    rule3.sort_by_key(|(id, _)| id.0);
-    put_vec(out, &rule3, |o, (id, rels)| {
-        put_u32(o, id.0 as u32);
-        put_vec(o, rels, |o, s: &String| put_str(o, s));
-    });
-    let mut anchors: Vec<(&AsgNodeId, &String)> = m.delete_anchor.iter().collect();
-    anchors.sort_by_key(|(id, _)| id.0);
-    put_vec(out, &anchors, |o, (id, rel)| {
-        put_u32(o, id.0 as u32);
-        put_str(o, rel);
-    });
-}
-
-fn read_marking(r: &mut Reader) -> Result<StarMarking, String> {
-    let rule1: HashSet<AsgNodeId> =
-        r.vec(|r| Ok(AsgNodeId(r.u32()? as usize)))?.into_iter().collect();
-    let rule3: HashMap<AsgNodeId, Vec<String>> =
-        r.vec(|r| Ok((AsgNodeId(r.u32()? as usize), r.vec(|r| r.str())?)))?.into_iter().collect();
-    let delete_anchor: HashMap<AsgNodeId, String> =
-        r.vec(|r| Ok((AsgNodeId(r.u32()? as usize), r.str()?)))?.into_iter().collect();
-    Ok(StarMarking { rule1, rule3, delete_anchor })
-}
-
 fn put_signature(out: &mut Vec<u8>, sig: &ViewSignature) {
-    let parts = sig.to_parts();
-    put_vec(out, &parts.tokens, |o, s: &String| put_str(o, s));
-    put_vec(out, &parts.edges, |o, (a, b): &(String, String)| {
+    put_vec(out, sig.tokens(), |o, s| put_str(o, s));
+    put_vec(out, sig.edges(), |o, (a, b)| {
         put_str(o, a);
         put_str(o, b);
     });
-    put_vec(out, &parts.root_children, |o, s: &String| put_str(o, s));
-    put_vec(out, &parts.leaf_domains, |o, (tag, targets)| {
+    put_vec(out, sig.root_children(), |o, s| put_str(o, s));
+    put_vec(out, sig.leaf_domains(), |o, (tag, targets)| {
         put_str(o, tag);
-        put_vec(o, targets, |o, (ty, domain, sat_ty): &(DataType, Domain, DataType)| {
+        put_vec(o, targets, |o, (ty, domain, sat_ty)| {
             o.push(datatype_code(*ty));
             put_domain(o, domain);
             o.push(datatype_code(*sat_ty));
         });
     });
-    put_vec(out, &parts.relations, |o, s: &String| put_str(o, s));
+    put_vec(out, sig.relations(), |o, s| put_str(o, s));
 }
 
 fn read_signature(r: &mut Reader) -> Result<ViewSignature, String> {
@@ -539,19 +325,37 @@ fn read_signature(r: &mut Reader) -> Result<ViewSignature, String> {
         Ok((r.str()?, r.vec(|r| Ok((read_datatype(r)?, read_domain(r)?, read_datatype(r)?)))?))
     })?;
     let relations = r.vec(|r| r.str())?;
-    Ok(ViewSignature::from_parts(SignatureParts {
-        tokens,
-        edges,
-        root_children,
-        leaf_domains,
-        relations,
-    }))
+    ViewSignature::from_sorted(tokens, edges, root_children, leaf_domains, relations)
 }
 
-/// Decode version byte, pipeline config, and routing signature — the
-/// artifact prelude shared by [`decode_artifact_header`] and
-/// [`decode_artifact`].
-fn read_prelude(r: &mut Reader) -> Result<(UFilterConfig, ViewSignature), String> {
+/// Serialize the artifact of a view compiled under `config` with routing
+/// signature `sig`: the version byte, the STAR mode and data-check
+/// strategy, and the signature — all that replay needs to register and
+/// route the view. The compiled filter itself is not stored: a replayed
+/// view compiles its recorded text on first check.
+pub fn encode_artifact(config: UFilterConfig, sig: &ViewSignature) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.push(ARTIFACT_VERSION);
+    out.push(match config.mode {
+        StarMode::Strict => 0,
+        StarMode::Refined => 1,
+    });
+    out.push(match config.strategy {
+        Strategy::Internal => 0,
+        Strategy::Hybrid => 1,
+        Strategy::Outside => 2,
+    });
+    put_signature(&mut out, sig);
+    out
+}
+
+/// Decode an artifact: the pipeline config the view was compiled under and
+/// its routing signature. Returns `Err` on any damage (truncation, a bad
+/// tag, an unsorted signature collection, trailing bytes) and on an
+/// artifact version this build does not write; replay treats both alike
+/// and recompiles the record's view text.
+pub fn decode_artifact_header(bytes: &[u8]) -> Result<(UFilterConfig, ViewSignature), String> {
+    let mut r = Reader::new(bytes);
     let version = r.u8()?;
     if version != ARTIFACT_VERSION {
         return Err(format!("artifact version {version} (this build reads {ARTIFACT_VERSION})"));
@@ -567,92 +371,16 @@ fn read_prelude(r: &mut Reader) -> Result<(UFilterConfig, ViewSignature), String
         2 => Strategy::Outside,
         t => return Err(format!("unknown strategy {t}")),
     };
-    let sig = read_signature(r)?;
-    Ok((UFilterConfig { mode, strategy }, sig))
-}
-
-/// Serialize a compiled filter's rebuild-expensive parts: the routing
-/// signature (so replay can index the view without touching the ASG), the
-/// STAR-marked view ASG, the marking side tables, and the pipeline config
-/// they were produced under. Deliberately **not** included (cheap to
-/// rebuild, or supplied by the replay environment): the schema, the base
-/// ASG, and the parsed query (re-parsed lazily from the record's view text
-/// on first materialization).
-pub fn encode_artifact(filter: &UFilter, sig: &ViewSignature) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.push(ARTIFACT_VERSION);
-    out.push(match filter.config.mode {
-        StarMode::Strict => 0,
-        StarMode::Refined => 1,
-    });
-    out.push(match filter.config.strategy {
-        Strategy::Internal => 0,
-        Strategy::Hybrid => 1,
-        Strategy::Outside => 2,
-    });
-    put_signature(&mut out, sig);
-    put_u32(&mut out, filter.asg.root().0 as u32);
-    put_vec(&mut out, &filter.asg.relations, |o, s: &String| put_str(o, s));
-    let nodes: Vec<&AsgNode> = filter.asg.iter().collect();
-    put_vec(&mut out, &nodes, |o, n| put_node(o, n));
-    put_marking(&mut out, &filter.marking);
-    put_read_sets(&mut out, &filter.read_sets);
-    out
-}
-
-/// Decode only the artifact prelude: the pipeline config the view was
-/// compiled under and its routing signature. This is the warm-restart fast
-/// path — replay indexes and registers the view from the prelude alone and
-/// defers the (much larger) ASG + marking decode to the view's first check.
-///
-/// Returns `Err` on damage or version mismatch, like [`decode_artifact`].
-pub fn decode_artifact_header(bytes: &[u8]) -> Result<(UFilterConfig, ViewSignature), String> {
-    read_prelude(&mut Reader::new(bytes))
-}
-
-/// Parse artifact bytes back into the config + ASG + marking + read-sets
-/// tuple (the routing-signature block is validated and skipped; fetch it
-/// with [`decode_artifact_header`]).
-///
-/// Returns `Err` on any structural damage *and* on an unknown artifact
-/// version — callers treat both the same way: fall back to recompiling
-/// from the record's view text.
-pub fn decode_artifact(
-    bytes: &[u8],
-) -> Result<(UFilterConfig, ViewAsg, StarMarking, ReadSets), String> {
-    let mut r = Reader::new(bytes);
-    let (UFilterConfig { mode, strategy }, _sig) = read_prelude(&mut r)?;
-    let root = AsgNodeId(r.u32()? as usize);
-    let relations = r.vec(|r| r.str())?;
-    let nodes = r.vec(read_node)?;
-    for (i, n) in nodes.iter().enumerate() {
-        if n.id.0 != i {
-            return Err(format!("node {i} carries id {}", n.id.0));
-        }
-        for link in n.parent.iter().chain(n.children.iter()) {
-            if link.0 >= nodes.len() {
-                return Err(format!("node {i} links to out-of-range node {}", link.0));
-            }
-        }
-    }
-    if root.0 >= nodes.len() {
-        return Err(format!("root id {} out of range", root.0));
-    }
-    let marking = read_marking(&mut r)?;
-    let read_sets = read_read_sets(&mut r)?;
+    let sig = read_signature(&mut r)?;
     r.done()?;
-    Ok((
-        UFilterConfig { mode, strategy },
-        ViewAsg::from_parts(nodes, root, relations),
-        marking,
-        read_sets,
-    ))
+    Ok((UFilterConfig { mode, strategy }, sig))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::bookdemo;
+    use crate::pipeline::UFilter;
 
     #[test]
     fn records_roundtrip() {
@@ -675,59 +403,35 @@ mod tests {
         assert!(decode_record(&[99]).is_err());
     }
 
-    #[test]
-    fn artifact_roundtrips_compiled_views() {
-        let schema = bookdemo::book_schema();
-        for text in [bookdemo::BOOK_VIEW, bookdemo::BOOK_STATS_VIEW] {
-            let filter = UFilter::compile(text, &schema).unwrap();
-            let sig = ViewSignature::of(&filter.asg);
-            let bytes = encode_artifact(&filter, &sig);
-            // Determinism: encoding twice yields identical bytes.
-            assert_eq!(bytes, encode_artifact(&filter, &sig));
-            let (config, asg, marking, read_sets) = decode_artifact(&bytes).unwrap();
-            assert_eq!(config, filter.config);
-            assert_eq!(asg.describe(), filter.asg.describe());
-            assert_eq!(asg.has_non_injective(), filter.asg.has_non_injective());
-            assert_eq!(marking.rule1, filter.marking.rule1);
-            assert_eq!(marking.rule3, filter.marking.rule3);
-            assert_eq!(marking.delete_anchor, filter.marking.delete_anchor);
-            assert_eq!(read_sets, filter.read_sets, "read-sets survive the roundtrip");
-            assert_eq!(read_sets, ufilter_asg::ReadSets::extract(&asg), "and match re-extraction");
-        }
-    }
-
     /// The persisted signature must route exactly like one freshly
-    /// extracted from the ASG — byte-equal re-encoding is the proxy (the
-    /// parts decomposition is deterministic, so equal bytes ⇔ equal
-    /// signatures).
+    /// extracted from the ASG — byte-equal re-encoding is the proxy (every
+    /// signature collection is sorted, so equal bytes ⇔ equal signatures).
     #[test]
     fn signature_header_roundtrips() {
         let schema = bookdemo::book_schema();
         for text in [bookdemo::BOOK_VIEW, bookdemo::BOOK_STATS_VIEW] {
             let filter = UFilter::compile(text, &schema).unwrap();
             let sig = ViewSignature::of(&filter.asg);
-            let bytes = encode_artifact(&filter, &sig);
+            let bytes = encode_artifact(filter.config, &sig);
+            // Determinism: encoding twice yields identical bytes.
+            assert_eq!(bytes, encode_artifact(filter.config, &sig));
             let (config, decoded) = decode_artifact_header(&bytes).unwrap();
             assert_eq!(config, filter.config);
-            let mut a = Vec::new();
-            let mut b = Vec::new();
-            put_signature(&mut a, &sig);
-            put_signature(&mut b, &decoded);
-            assert_eq!(a, b, "decoded signature re-encodes identically");
+            assert_eq!(encode_artifact(config, &decoded), bytes, "decoded artifact re-encodes");
         }
     }
 
     #[test]
     fn damaged_artifacts_error_cleanly() {
         let filter = UFilter::compile(bookdemo::BOOK_VIEW, &bookdemo::book_schema()).unwrap();
-        let sig = ViewSignature::of(&filter.asg);
-        let bytes = encode_artifact(&filter, &sig);
-        assert!(decode_artifact(&[]).is_err());
-        assert!(decode_artifact(&bytes[..bytes.len() / 2]).is_err(), "truncation detected");
+        let bytes = encode_artifact(filter.config, &ViewSignature::of(&filter.asg));
+        assert!(decode_artifact_header(&[]).is_err());
+        assert!(decode_artifact_header(&bytes[..bytes.len() / 2]).is_err(), "truncation detected");
         assert!(decode_artifact_header(&bytes[..4]).is_err(), "header truncation detected");
         let mut vsn = bytes.clone();
-        vsn[0] = 99;
-        assert!(decode_artifact(&vsn).unwrap_err().contains("version"));
+        vsn[0] = 3;
         assert!(decode_artifact_header(&vsn).unwrap_err().contains("version"));
+        let trailing = [&bytes[..], &[0]].concat();
+        assert!(decode_artifact_header(&trailing).unwrap_err().contains("trailing"));
     }
 }

@@ -5,12 +5,15 @@
 //! view compilation across many checks — but only for the lifetime of the
 //! process. This module makes the catalog survive restarts *warm*: every
 //! mutating operation (`CATALOG ADD`/`DROP` and guarded DDL) appends a
-//! CRC-framed record **before** it is acknowledged, `ADD` records carry the
-//! serialized compile artifact (STAR-marked ASG + marking side tables), and
-//! on startup [`ViewCatalog::replay`](crate::catalog::ViewCatalog::replay)
-//! rebuilds the catalog — rehydrating compiled views without re-parsing or
-//! re-marking, and reconstructing the relevance index and dependency
-//! postings deterministically from the rehydrated ASGs.
+//! CRC-framed record **before** it is acknowledged, and on startup
+//! [`ViewCatalog::replay`](crate::catalog::ViewCatalog::replay) rebuilds
+//! the catalog from the records. An `ADD` record carries the canonical
+//! view text, its dependencies and a small artifact ([`encode_artifact`]):
+//! the pipeline config plus the view's routing signature. Replay registers
+//! and indexes each view from the artifact alone, so the relevance index
+//! and dependency postings come back without compiling anything; a
+//! replayed view compiles its recorded text, against the schema of its
+//! position in the record order, at its first check.
 //!
 //! Two files live in the data directory:
 //!
@@ -39,8 +42,7 @@ mod codec;
 mod frame;
 
 pub use codec::{
-    decode_artifact, decode_artifact_header, decode_record, encode_artifact, encode_record,
-    ARTIFACT_VERSION,
+    decode_artifact_header, decode_record, encode_artifact, encode_record, ARTIFACT_VERSION,
 };
 pub use frame::{crc32, FileKind, FORMAT_VERSION, HEADER_LEN, MAGIC};
 
@@ -52,8 +54,7 @@ pub enum LogRecord {
         /// Registration name.
         name: String,
         /// Canonical view text (comment-stripped, whitespace-collapsed) —
-        /// the compile-cache key, and the fallback compile source when the
-        /// artifact cannot be used.
+        /// the compile-cache key, and what a replayed view compiles.
         view_text: String,
         /// Relations the view reads (its dependency set, recorded by name).
         deps: Vec<String>,
@@ -61,9 +62,10 @@ pub enum LogRecord {
         /// compile-once cache (restored verbatim so `CATALOG LIST` is
         /// byte-identical after a restart).
         cached: bool,
-        /// Serialized compile artifact ([`encode_artifact`]); may be empty,
-        /// and is ignored (the view text is recompiled) when it fails to
-        /// decode or was produced under a different pipeline config.
+        /// Serialized artifact ([`encode_artifact`]): pipeline config plus
+        /// routing signature. May be empty; replay recompiles the view text
+        /// eagerly when it fails to decode or was produced under a
+        /// different pipeline config.
         artifact: Vec<u8>,
     },
     /// A view removal (`CATALOG DROP`).
@@ -174,10 +176,10 @@ pub struct ReplayStats {
     pub drops: usize,
     /// `Ddl` records re-executed.
     pub ddl: usize,
-    /// `Add`s served without compiling: decoded artifact or compile-once
-    /// cache hit.
+    /// `Add`s registered without compiling: from the artifact prelude
+    /// (the view compiles at its first check) or a compile-once cache hit.
     pub rehydrated: usize,
-    /// `Add`s that fell back to compiling the recorded view text.
+    /// `Add`s whose artifact could not be used, compiled eagerly at replay.
     pub recompiled: usize,
 }
 
@@ -265,78 +267,28 @@ impl CatalogStore {
         let dir = dir.as_ref().to_path_buf();
         fs::create_dir_all(&dir)
             .map_err(|source| PersistError::Io { path: dir.clone(), source })?;
-        let snap_path = dir.join(SNAP_FILE);
+        let found = read_files(&dir)?;
         let log_path = dir.join(LOG_FILE);
         let mut stats = StoreStats::default();
-
-        // Snapshot: optional, but must be entirely valid when present — it
-        // was written atomically, so damage is corruption, not a torn tail.
-        let (snap_gen, mut records) = match read_optional(&snap_path)? {
-            None => (0, Vec::new()),
-            Some(bytes) => {
-                let (kind, generation) = frame::decode_header(&bytes)
-                    .map_err(|detail| PersistError::Corrupt { path: snap_path.clone(), detail })?;
-                if kind != FileKind::Snapshot {
-                    return Err(PersistError::Corrupt {
-                        path: snap_path.clone(),
-                        detail: "file kind is not snapshot".into(),
-                    });
-                }
-                let scan = frame::scan_frames(&bytes);
-                if scan.torn {
-                    return Err(PersistError::Corrupt {
-                        path: snap_path.clone(),
-                        detail: format!("invalid frame at byte {}", scan.valid_len),
-                    });
-                }
-                (generation, decode_payloads(&snap_path, scan.payloads)?)
+        match found.log_file {
+            LogFile::Missing | LogFile::Stale => {
+                // A stale log is a leftover of an interrupted compaction:
+                // the snapshot already folds in everything it held.
+                stats.stale_log_discarded = found.log_file == LogFile::Stale;
+                let header = frame::encode_header(FileKind::Log, found.generation);
+                write_atomic(&dir, LOG_FILE, &header)?;
             }
-        };
-
-        let mut generation = snap_gen.max(1);
-        match read_optional(&log_path)? {
-            None => {
-                write_atomic(&dir, LOG_FILE, &frame::encode_header(FileKind::Log, generation))?;
+            LogFile::Live { valid_len, torn_bytes } if torn_bytes > 0 => {
+                stats.truncated_bytes = torn_bytes;
+                let io = |source| PersistError::Io { path: log_path.clone(), source };
+                let f = OpenOptions::new().write(true).open(&log_path).map_err(io)?;
+                f.set_len(valid_len as u64).map_err(io)?;
+                f.sync_all().map_err(io)?;
             }
-            Some(bytes) => {
-                let (kind, log_gen) = frame::decode_header(&bytes)
-                    .map_err(|detail| PersistError::Corrupt { path: log_path.clone(), detail })?;
-                if kind != FileKind::Log {
-                    return Err(PersistError::Corrupt {
-                        path: log_path.clone(),
-                        detail: "file kind is not log".into(),
-                    });
-                }
-                if log_gen > snap_gen && snap_gen != 0 {
-                    return Err(PersistError::Generation { snapshot: snap_gen, log: log_gen });
-                }
-                if snap_gen != 0 && log_gen < snap_gen {
-                    // Interrupted compaction: the snapshot already folds in
-                    // everything this log held. Reset it.
-                    stats.stale_log_discarded = true;
-                    write_atomic(&dir, LOG_FILE, &frame::encode_header(FileKind::Log, generation))?;
-                } else {
-                    generation = if snap_gen == 0 { log_gen } else { generation };
-                    let scan = frame::scan_frames(&bytes);
-                    if scan.torn {
-                        stats.truncated_bytes = (bytes.len() - scan.valid_len) as u64;
-                        let f =
-                            OpenOptions::new().write(true).open(&log_path).map_err(|source| {
-                                PersistError::Io { path: log_path.clone(), source }
-                            })?;
-                        f.set_len(scan.valid_len as u64).map_err(|source| PersistError::Io {
-                            path: log_path.clone(),
-                            source,
-                        })?;
-                        f.sync_all().map_err(|source| PersistError::Io {
-                            path: log_path.clone(),
-                            source,
-                        })?;
-                    }
-                    records.extend(decode_payloads(&log_path, scan.payloads)?);
-                }
-            }
+            LogFile::Live { .. } => {}
         }
+        let generation = found.generation;
+        let records = found.records();
 
         let log = OpenOptions::new()
             .append(true)
@@ -471,67 +423,20 @@ impl CatalogStore {
     /// logs, and folds the records to the surviving view set. Errors only
     /// on damage `open` would also refuse (bad snapshot, future log).
     pub fn verify(dir: impl AsRef<Path>) -> Result<VerifyReport, PersistError> {
-        let dir = dir.as_ref();
-        let snap_path = dir.join(SNAP_FILE);
-        let log_path = dir.join(LOG_FILE);
-
-        let (snap_gen, snap_records) = match read_optional(&snap_path)? {
-            None => (0, Vec::new()),
-            Some(bytes) => {
-                let (kind, generation) = frame::decode_header(&bytes)
-                    .map_err(|detail| PersistError::Corrupt { path: snap_path.clone(), detail })?;
-                if kind != FileKind::Snapshot {
-                    return Err(PersistError::Corrupt {
-                        path: snap_path.clone(),
-                        detail: "file kind is not snapshot".into(),
-                    });
-                }
-                let scan = frame::scan_frames(&bytes);
-                if scan.torn {
-                    return Err(PersistError::Corrupt {
-                        path: snap_path.clone(),
-                        detail: format!("invalid frame at byte {}", scan.valid_len),
-                    });
-                }
-                (generation, decode_payloads(&snap_path, scan.payloads)?)
-            }
-        };
-
+        let found = read_files(dir.as_ref())?;
         let mut report = VerifyReport {
-            generation: snap_gen.max(1),
-            snapshot_records: snap_records.len(),
-            log_records: 0,
-            torn_bytes: 0,
-            stale_log: false,
+            generation: found.generation,
+            snapshot_records: found.snapshot.len(),
+            log_records: found.log.len(),
+            torn_bytes: match found.log_file {
+                LogFile::Live { torn_bytes, .. } => torn_bytes,
+                _ => 0,
+            },
+            stale_log: found.log_file == LogFile::Stale,
             views: Vec::new(),
             ddl_records: 0,
         };
-        let mut records = snap_records;
-        if let Some(bytes) = read_optional(&log_path)? {
-            let (kind, log_gen) = frame::decode_header(&bytes)
-                .map_err(|detail| PersistError::Corrupt { path: log_path.clone(), detail })?;
-            if kind != FileKind::Log {
-                return Err(PersistError::Corrupt {
-                    path: log_path.clone(),
-                    detail: "file kind is not log".into(),
-                });
-            }
-            if log_gen > snap_gen && snap_gen != 0 {
-                return Err(PersistError::Generation { snapshot: snap_gen, log: log_gen });
-            }
-            if snap_gen != 0 && log_gen < snap_gen {
-                report.stale_log = true;
-            } else {
-                if snap_gen == 0 {
-                    report.generation = log_gen;
-                }
-                let scan = frame::scan_frames(&bytes);
-                report.torn_bytes = (bytes.len() - scan.valid_len) as u64;
-                let log_records = decode_payloads(&log_path, scan.payloads)?;
-                report.log_records = log_records.len();
-                records.extend(log_records);
-            }
-        }
+        let records = found.records();
         for record in fold(&records) {
             match record {
                 LogRecord::Add { name, .. } => report.views.push(name),
@@ -585,18 +490,117 @@ fn write_atomic(dir: &Path, name: &str, bytes: &[u8]) -> Result<(), PersistError
     Ok(())
 }
 
+/// What the store's two files hold, read and checked but not repaired:
+/// the shared first step of [`CatalogStore::open`] (which then repairs the
+/// log) and [`CatalogStore::verify`] (which only reports).
+struct StoreFiles {
+    /// The store generation: the snapshot's if present, else the log's (1
+    /// for a fresh directory).
+    generation: u64,
+    /// The snapshot's records (empty when absent).
+    snapshot: Vec<LogRecord>,
+    /// The live log's valid-prefix records (empty when absent or stale).
+    log: Vec<LogRecord>,
+    /// The state of the log file.
+    log_file: LogFile,
+}
+
+/// The state of `catalog.log`, as [`read_files`] found it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum LogFile {
+    /// No log file yet.
+    Missing,
+    /// A log whose generation is behind the snapshot's: a leftover of an
+    /// interrupted compaction, whose records the snapshot already holds.
+    Stale,
+    /// The live log: its first `valid_len` bytes are whole frames, and
+    /// `torn_bytes` bytes of a torn append follow them.
+    Live {
+        /// Length of the valid prefix, header included.
+        valid_len: usize,
+        /// Bytes after the valid prefix.
+        torn_bytes: u64,
+    },
+}
+
+impl StoreFiles {
+    /// Snapshot records, then the live log's.
+    fn records(self) -> Vec<LogRecord> {
+        let mut records = self.snapshot;
+        records.extend(self.log);
+        records
+    }
+}
+
+/// Read and check both files in `dir`. The snapshot is optional but must
+/// be entirely valid when present: it was written atomically, so a bad
+/// frame is corruption, not a torn tail. A log from a generation ahead of
+/// the snapshot is a hard error (the snapshot it was written against is
+/// missing or rolled back).
+fn read_files(dir: &Path) -> Result<StoreFiles, PersistError> {
+    let snap_path = dir.join(SNAP_FILE);
+    let log_path = dir.join(LOG_FILE);
+    let (snap_gen, snapshot) = match read_optional(&snap_path)? {
+        None => (0, Vec::new()),
+        Some(bytes) => {
+            let generation = read_header(&snap_path, &bytes, FileKind::Snapshot)?;
+            let scan = frame::scan_frames(&bytes);
+            if scan.torn {
+                return Err(PersistError::Corrupt {
+                    path: snap_path,
+                    detail: format!("invalid frame at byte {}", scan.valid_len),
+                });
+            }
+            (generation, decode_payloads(&snap_path, scan.payloads)?)
+        }
+    };
+    let mut found = StoreFiles {
+        generation: snap_gen.max(1),
+        snapshot,
+        log: Vec::new(),
+        log_file: LogFile::Missing,
+    };
+    if let Some(bytes) = read_optional(&log_path)? {
+        let log_gen = read_header(&log_path, &bytes, FileKind::Log)?;
+        if snap_gen != 0 && log_gen > snap_gen {
+            return Err(PersistError::Generation { snapshot: snap_gen, log: log_gen });
+        }
+        if snap_gen != 0 && log_gen < snap_gen {
+            found.log_file = LogFile::Stale;
+        } else {
+            if snap_gen == 0 {
+                found.generation = log_gen;
+            }
+            let scan = frame::scan_frames(&bytes);
+            found.log_file = LogFile::Live {
+                valid_len: scan.valid_len,
+                torn_bytes: (bytes.len() - scan.valid_len) as u64,
+            };
+            found.log = decode_payloads(&log_path, scan.payloads)?;
+        }
+    }
+    Ok(found)
+}
+
+/// Decode a file header and check that it names the expected file kind;
+/// returns the file's generation.
+fn read_header(path: &Path, bytes: &[u8], kind: FileKind) -> Result<u64, PersistError> {
+    let corrupt = |detail| PersistError::Corrupt { path: path.to_path_buf(), detail };
+    let (found, generation) = frame::decode_header(bytes).map_err(corrupt)?;
+    if found != kind {
+        let name = match kind {
+            FileKind::Log => "log",
+            FileKind::Snapshot => "snapshot",
+        };
+        return Err(corrupt(format!("file kind is not {name}")));
+    }
+    Ok(generation)
+}
+
 /// Everything currently on disk: snapshot records then log records (valid
 /// prefix only).
 fn read_all_records(dir: &Path) -> Result<Vec<LogRecord>, PersistError> {
-    let mut out = Vec::new();
-    for name in [SNAP_FILE, LOG_FILE] {
-        let path = dir.join(name);
-        if let Some(bytes) = read_optional(&path)? {
-            let scan = frame::scan_frames(&bytes);
-            out.extend(decode_payloads(&path, scan.payloads)?);
-        }
-    }
-    Ok(out)
+    Ok(read_files(dir)?.records())
 }
 
 /// Fold a record sequence to its minimal equivalent: an `Add` later

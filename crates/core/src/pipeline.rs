@@ -159,23 +159,10 @@ impl ProbeCache {
     }
 }
 
-/// Where a filter's [`ViewQuery`] comes from: parsed eagerly at compile
-/// time, or deferred to first use (warm restart from a persisted artifact —
-/// the check path never needs the parsed query, only materialization and
-/// evaluation do).
-enum QuerySource {
-    /// Parsed at compile time.
-    Parsed(ViewQuery),
-    /// View text whose parse is deferred until [`UFilter::query`] is first
-    /// called. The text parsed successfully when the view was originally
-    /// compiled, so the deferred parse cannot fail.
-    Deferred { text: String, parsed: std::sync::OnceLock<ViewQuery> },
-}
-
 /// A compiled view: ASGs built and STAR-marked, ready to check updates.
 pub struct UFilter {
-    /// The view query — parsed, or deferred view text (warm restart).
-    query: QuerySource,
+    /// The parsed view query.
+    query: ViewQuery,
     /// The relational schema the view is defined over.
     pub schema: DatabaseSchema,
     /// The view ASG `G_V`, with STAR marks written in.
@@ -193,44 +180,11 @@ pub struct UFilter {
 }
 
 impl UFilter {
-    /// The parsed view query. For a filter rehydrated from a persisted
-    /// artifact this parses the stored view text on first use (the check
-    /// path never calls it; materialization and evaluation do).
+    /// The parsed view query (materialization and evaluation read it).
     pub fn query(&self) -> &ViewQuery {
-        match &self.query {
-            QuerySource::Parsed(q) => q,
-            QuerySource::Deferred { text, parsed } => parsed.get_or_init(|| {
-                parse_view_query(text)
-                    .expect("rehydrated view text parsed when originally compiled")
-            }),
-        }
+        &self.query
     }
 
-    /// Assemble a filter from persisted compile artifacts, skipping parse,
-    /// ASG construction and STAR marking entirely. The caller (the
-    /// persistence layer) guarantees the parts came from a successful
-    /// [`compile`](Self::compile) of `view_text` against `schema`.
-    pub(crate) fn from_artifact(
-        view_text: String,
-        schema: DatabaseSchema,
-        asg: ViewAsg,
-        marking: StarMarking,
-        read_sets: ReadSets,
-        config: UFilterConfig,
-    ) -> UFilter {
-        let leaves: Vec<ufilter_rdb::ColRef> =
-            asg.iter().filter_map(|n| n.leaf.as_ref().map(|l| l.name.clone())).collect();
-        let base = BaseAsg::build(&schema, &asg.relations, &leaves);
-        UFilter {
-            query: QuerySource::Deferred { text: view_text, parsed: std::sync::OnceLock::new() },
-            schema,
-            asg,
-            base,
-            marking,
-            read_sets,
-            config,
-        }
-    }
     /// Compile a view: parse, expressibility-check, build both ASGs, run
     /// the STAR marking procedure.
     pub fn compile(view_text: &str, schema: &DatabaseSchema) -> Result<UFilter, CompileError> {
@@ -258,7 +212,7 @@ impl UFilter {
         let marking = star::mark(&mut asg, &base, schema);
         let read_sets = ReadSets::extract(&asg);
         Ok(UFilter {
-            query: QuerySource::Parsed(query),
+            query,
             schema: schema.clone(),
             asg,
             base,

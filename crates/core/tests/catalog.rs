@@ -438,3 +438,38 @@ fn unterminated_comment_never_shares_a_cache_key() {
     assert_eq!(c.len(), 1);
     assert_eq!(c.compile_cache_hits(), 0);
 }
+
+/// A replayed view compiles its recorded text at its first check. If the
+/// base schema changed between runs, that compile fails: every check of
+/// the view then reports why, and `get` finds no filter; nothing panics.
+#[test]
+fn replayed_view_that_no_longer_compiles_reports_its_error() {
+    use ufilter_core::persist::{encode_artifact, LogRecord};
+    use ufilter_core::{InvalidReason, ProbeCache, UFilter};
+    use ufilter_route::ViewSignature;
+
+    let filter = UFilter::compile(bookdemo::BOOK_VIEW, &bookdemo::book_schema()).unwrap();
+    let record = LogRecord::Add {
+        name: "books".into(),
+        view_text: bookdemo::BOOK_VIEW.into(),
+        deps: filter.asg.relations.clone(),
+        cached: false,
+        artifact: encode_artifact(filter.config, &ViewSignature::of(&filter.asg)),
+    };
+    // The next run starts from a base schema without `review`.
+    let mut db = bookdemo::book_db();
+    db.execute_script("DROP TABLE review").unwrap();
+    let mut c = ViewCatalog::new(db.schema().clone());
+    let stats = c.replay(&mut db, &[record]).unwrap();
+    assert_eq!(stats.rehydrated, 1, "registered from its artifact, compile deferred");
+
+    let batch = c.check(&[(Target::View("books"), bookdemo::U8)], &mut db, &mut ProbeCache::new());
+    match &batch.items[0].reports[0].outcome {
+        CheckOutcome::Invalid(InvalidReason::Malformed { detail }) => {
+            assert!(detail.contains("no longer compiles"), "{detail}")
+        }
+        other => panic!("expected the compile error, got {other:?}"),
+    }
+    assert!(c.get("books").is_none());
+    assert_eq!(c.hydrated_count(), 0);
+}

@@ -140,6 +140,34 @@ fn corrupted_payloads_never_panic() {
         mutate(&mut rng, &mut bytes);
         let _ = persist::decode_record(&bytes);
         let _ = persist::decode_artifact_header(&bytes);
-        let _ = persist::decode_artifact(&bytes);
+    }
+}
+
+/// Real artifacts — the bookdemo views' `encode_artifact` output, as a
+/// `CATALOG ADD` record carries it — decode when intact, are refused with
+/// a byte appended, and never panic the decoder under mutation.
+#[test]
+fn corrupted_artifacts_never_panic() {
+    use ufilter_core::{bookdemo, UFilter};
+    use ufilter_route::ViewSignature;
+
+    let schema = bookdemo::book_schema();
+    let mut rng = FuzzRng::new(SEED ^ 0x5A5A);
+    for text in [bookdemo::BOOK_VIEW, bookdemo::BOOK_STATS_VIEW] {
+        let filter = UFilter::compile(text, &schema).expect("bookdemo view compiles");
+        let artifact = persist::encode_artifact(filter.config, &ViewSignature::of(&filter.asg));
+        let (config, _) =
+            persist::decode_artifact_header(&artifact).expect("intact artifact decodes");
+        assert_eq!(config, filter.config);
+        let appended = [&artifact[..], &[0]].concat();
+        assert!(
+            persist::decode_artifact_header(&appended).is_err(),
+            "an artifact with a trailing byte must be refused"
+        );
+        for _ in 0..2000 {
+            let mut bytes = artifact.clone();
+            mutate(&mut rng, &mut bytes);
+            let _ = persist::decode_artifact_header(&bytes);
+        }
     }
 }

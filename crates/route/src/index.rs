@@ -2,7 +2,7 @@
 //! tag/relation indexes, intersected against an update's [`Footprint`] at
 //! three pruning levels.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use ufilter_asg::{AsgNodeKind, ViewAsg};
 use ufilter_rdb::sat::Domain;
@@ -11,49 +11,48 @@ use ufilter_xquery::UpdateStmt;
 
 use crate::footprint::Footprint;
 
-/// One resolution target for a constant predicate on a given tag: the type
-/// the literal is coerced to and the merged check domain Step-1 validation
-/// will constrain — captured so the level-3 test mirrors
+/// One predicate resolution target in [`ViewSignature::leaf_domains`]:
+/// `(leaf type, merged check domain, satisfiability type hint)` — the
+/// type the literal is coerced to, the domain Step-1 validation folds
+/// predicates into (the first leaf in ASG id order sharing the resolved
+/// leaf's column — validation re-looks the column up, so this can differ
+/// from the resolved leaf's own), and the type hint validation passes to
+/// the satisfiability check. Captured so the level-3 test mirrors
 /// `predicates_overlap_view` exactly.
-#[derive(Debug, Clone)]
-struct LeafDomain {
-    /// Type of the leaf the path resolves to (literals are typed by it).
-    ty: DataType,
-    /// The domain validation folds predicates into (the first leaf in ASG
-    /// id order sharing the resolved leaf's column — validation re-looks
-    /// the column up, so this can differ from the resolved leaf's own).
-    domain: Domain,
-    /// Type hint validation passes to the satisfiability check.
-    sat_ty: DataType,
-}
+pub type LeafTarget = (DataType, Domain, DataType);
 
 /// The routing-relevant signature of one compiled view, extracted from its
 /// (STAR-marked) ASG at registration time.
+///
+/// Every collection is a strictly ascending vector (`leaf_domains` by tag):
+/// the routing levels binary-search them, and equal signatures serialize
+/// to equal bytes. `ufilter-core`'s persistence layer writes the five
+/// collections, in this order, into each view's artifact, and a warm
+/// restart indexes the view from them (through
+/// [`from_sorted`](Self::from_sorted)) without touching an ASG.
 #[derive(Debug, Clone)]
 pub struct ViewSignature {
     /// Lower-cased tags of every addressable (non-root, non-leaf) node.
-    tokens: BTreeSet<String>,
+    pub(crate) tokens: Vec<String>,
     /// Lower-cased parent→child tag edges between addressable nodes.
-    edges: HashSet<(String, String)>,
+    pub(crate) edges: Vec<(String, String)>,
     /// Lower-cased tags of the root's direct element children.
-    root_children: HashSet<String>,
-    /// tag → the leaf-backed resolution targets a predicate on that tag
-    /// could reach (empty vec ⇒ the tag exists but never reaches a value).
-    leaf_domains: HashMap<String, Vec<LeafDomain>>,
+    pub(crate) root_children: Vec<String>,
+    /// Per addressable tag, the leaf-backed resolution targets a predicate
+    /// on that tag could reach, in extraction order (an empty vec ⇒ the tag
+    /// exists but never reaches a value).
+    pub(crate) leaf_domains: Vec<(String, Vec<LeafTarget>)>,
     /// Lower-cased base relations the view reads (`rel(DEF_V)`).
-    relations: BTreeSet<String>,
+    pub(crate) relations: Vec<String>,
 }
 
 impl ViewSignature {
     /// Extract the signature of `asg`.
     pub fn of(asg: &ViewAsg) -> ViewSignature {
-        let mut sig = ViewSignature {
-            tokens: BTreeSet::new(),
-            edges: HashSet::new(),
-            root_children: HashSet::new(),
-            leaf_domains: HashMap::new(),
-            relations: asg.relations.iter().map(|r| r.to_ascii_lowercase()).collect(),
-        };
+        let mut tokens = BTreeSet::new();
+        let mut edges = BTreeSet::new();
+        let mut root_children = BTreeSet::new();
+        let mut leaf_domains: BTreeMap<String, Vec<LeafTarget>> = BTreeMap::new();
         for n in asg.iter() {
             // Aggregate (`vA`) nodes are skipped like leaves: their tags are
             // synthetic (`count(bid.amount)`) and unaddressable by update
@@ -66,16 +65,16 @@ impl ViewSignature {
                 continue;
             }
             let tag = n.tag.to_ascii_lowercase();
-            sig.tokens.insert(tag.clone());
+            tokens.insert(tag.clone());
             if let Some(p) = n.parent {
                 let parent = asg.node(p);
                 match parent.kind {
                     AsgNodeKind::Root => {
-                        sig.root_children.insert(tag.clone());
+                        root_children.insert(tag.clone());
                     }
                     AsgNodeKind::Leaf => {}
                     _ => {
-                        sig.edges.insert((parent.tag.to_ascii_lowercase(), tag.clone()));
+                        edges.insert((parent.tag.to_ascii_lowercase(), tag.clone()));
                     }
                 }
             }
@@ -87,7 +86,7 @@ impl ViewSignature {
                     .then(|| n.children.iter().find_map(|c| asg.node(*c).leaf.as_ref()))
                     .flatten()
             });
-            let entry = sig.leaf_domains.entry(tag).or_default();
+            let entry = leaf_domains.entry(tag).or_default();
             if let Some(leaf) = leaf {
                 // Validation re-resolves the column by name across the whole
                 // ASG and takes the *first* match's annotations; mirror that.
@@ -99,79 +98,78 @@ impl ViewSignature {
                             .filter(|l| l.name.matches(&leaf.name.table, &leaf.name.column))
                     })
                     .unwrap_or(leaf);
-                entry.push(LeafDomain {
-                    ty: leaf.ty,
-                    domain: validate_leaf.check.clone(),
-                    sat_ty: validate_leaf.ty,
-                });
+                entry.push((leaf.ty, validate_leaf.check.clone(), validate_leaf.ty));
             }
         }
-        sig
-    }
-
-    /// The (lower-cased) base relations this view reads.
-    pub fn relations(&self) -> impl Iterator<Item = &str> {
-        self.relations.iter().map(String::as_str)
-    }
-
-    /// Decompose into [`SignatureParts`] — plain, deterministically-ordered
-    /// vectors the persistence layer can serialize. Unordered sets come out
-    /// sorted, so equal signatures always produce equal parts (and equal
-    /// bytes on disk).
-    pub fn to_parts(&self) -> SignatureParts {
-        let mut edges: Vec<(String, String)> = self.edges.iter().cloned().collect();
-        edges.sort();
-        let mut leaf_domains: Vec<(String, Vec<LeafTarget>)> = self
-            .leaf_domains
-            .iter()
-            .map(|(tag, targets)| {
-                (tag.clone(), targets.iter().map(|t| (t.ty, t.domain.clone(), t.sat_ty)).collect())
-            })
-            .collect();
-        leaf_domains.sort_by(|a, b| a.0.cmp(&b.0));
-        SignatureParts {
-            tokens: self.tokens.iter().cloned().collect(),
-            edges,
-            root_children: {
-                let mut rc: Vec<String> = self.root_children.iter().cloned().collect();
-                rc.sort();
-                rc
-            },
-            leaf_domains,
-            relations: self.relations.iter().cloned().collect(),
-        }
-    }
-
-    /// Reassemble a signature from its serialized decomposition. Inverse of
-    /// [`to_parts`](Self::to_parts).
-    pub fn from_parts(parts: SignatureParts) -> ViewSignature {
+        let relations: BTreeSet<String> =
+            asg.relations.iter().map(|r| r.to_ascii_lowercase()).collect();
         ViewSignature {
-            tokens: parts.tokens.into_iter().collect(),
-            edges: parts.edges.into_iter().collect(),
-            root_children: parts.root_children.into_iter().collect(),
-            leaf_domains: parts
-                .leaf_domains
-                .into_iter()
-                .map(|(tag, targets)| {
-                    (
-                        tag,
-                        targets
-                            .into_iter()
-                            .map(|(ty, domain, sat_ty)| LeafDomain { ty, domain, sat_ty })
-                            .collect(),
-                    )
-                })
-                .collect(),
-            relations: parts.relations.into_iter().collect(),
+            tokens: tokens.into_iter().collect(),
+            edges: edges.into_iter().collect(),
+            root_children: root_children.into_iter().collect(),
+            leaf_domains: leaf_domains.into_iter().collect(),
+            relations: relations.into_iter().collect(),
         }
+    }
+
+    /// Assemble a signature from its five collections (the persistence
+    /// layer decodes them from an artifact), refusing any that is not
+    /// strictly ascending — `leaf_domains` by tag.
+    pub fn from_sorted(
+        tokens: Vec<String>,
+        edges: Vec<(String, String)>,
+        root_children: Vec<String>,
+        leaf_domains: Vec<(String, Vec<LeafTarget>)>,
+        relations: Vec<String>,
+    ) -> Result<ViewSignature, String> {
+        fn ascending<T, K: Ord + ?Sized>(items: &[T], key: impl Fn(&T) -> &K) -> bool {
+            items.windows(2).all(|w| key(&w[0]) < key(&w[1]))
+        }
+        let sorted = ascending(&tokens, |t| t)
+            && ascending(&edges, |e| e)
+            && ascending(&root_children, |t| t)
+            && ascending(&leaf_domains, |(tag, _)| tag)
+            && ascending(&relations, |r| r);
+        if !sorted {
+            return Err("signature collection is not strictly ascending".into());
+        }
+        Ok(ViewSignature { tokens, edges, root_children, leaf_domains, relations })
+    }
+
+    /// Lower-cased tags of every addressable (non-root, non-leaf) node
+    /// (level 1).
+    pub fn tokens(&self) -> &[String] {
+        &self.tokens
+    }
+
+    /// Lower-cased parent→child tag edges between addressable nodes
+    /// (level 2).
+    pub fn edges(&self) -> &[(String, String)] {
+        &self.edges
+    }
+
+    /// Lower-cased tags of the root's direct element children (level 2).
+    pub fn root_children(&self) -> &[String] {
+        &self.root_children
+    }
+
+    /// Per addressable tag, the resolution targets a predicate on that tag
+    /// could reach (level 3).
+    pub fn leaf_domains(&self) -> &[(String, Vec<LeafTarget>)] {
+        &self.leaf_domains
+    }
+
+    /// Lower-cased base relations the view reads.
+    pub fn relations(&self) -> &[String] {
+        &self.relations
     }
 
     /// Level 2: do the update's path steps exist as ASG structure? (Level
     /// 1 — token coverage — is answered by the inverted index instead of a
     /// per-signature scan.)
     fn covers_paths(&self, fp: &Footprint) -> bool {
-        fp.root_children.iter().all(|t| self.root_children.contains(t))
-            && fp.edges.iter().all(|e| self.edges.contains(e))
+        fp.root_children.iter().all(|t| self.root_children.binary_search(t).is_ok())
+            && fp.edges.iter().all(|e| self.edges.binary_search(e).is_ok())
     }
 
     /// Level 3: does every constant predicate leave at least one resolution
@@ -179,46 +177,22 @@ impl ViewSignature {
     /// `predicates_overlap_view` (same typing, same domain, same hint).
     fn covers_predicates(&self, fp: &Footprint) -> bool {
         fp.predicates.iter().all(|(tag, op, value)| {
-            let Some(targets) = self.leaf_domains.get(tag) else {
+            let Ok(at) = self.leaf_domains.binary_search_by(|(t, _)| t.cmp(tag)) else {
                 // Token was covered at level 1, so absence here cannot
                 // happen for addressable tags; be conservative regardless.
                 return true;
             };
-            targets.iter().any(|t| {
+            self.leaf_domains[at].1.iter().any(|(ty, domain, sat_ty)| {
                 let typed = match value {
-                    Value::Str(s) => Value::parse_as(s, t.ty).unwrap_or_else(|| value.clone()),
-                    other => other.clone().coerce(t.ty),
+                    Value::Str(s) => Value::parse_as(s, *ty).unwrap_or_else(|| value.clone()),
+                    other => other.clone().coerce(*ty),
                 };
-                let mut domain = t.domain.clone();
+                let mut domain = domain.clone();
                 domain.constrain(*op, &typed);
-                domain.satisfiable(Some(t.sat_ty))
+                domain.satisfiable(Some(*sat_ty))
             })
         })
     }
-}
-
-/// One predicate resolution target in [`SignatureParts::leaf_domains`]:
-/// `(leaf type, merged check domain, satisfiability type hint)`.
-pub type LeafTarget = (DataType, Domain, DataType);
-
-/// A [`ViewSignature`] decomposed into plain, deterministically-ordered
-/// vectors — the exchange form `ufilter-core`'s persistence layer writes
-/// into each compiled-view artifact so a warm restart can rebuild the
-/// relevance index without re-walking (or even decoding) the view ASG.
-#[derive(Debug, Clone)]
-pub struct SignatureParts {
-    /// Sorted lower-cased tag vocabulary (level 1).
-    pub tokens: Vec<String>,
-    /// Sorted lower-cased parent→child tag edges (level 2).
-    pub edges: Vec<(String, String)>,
-    /// Sorted lower-cased tags of the root's direct element children.
-    pub root_children: Vec<String>,
-    /// Per-tag predicate resolution targets `(leaf type, merged check
-    /// domain, satisfiability type hint)` (level 3), sorted by tag; the
-    /// targets of one tag keep their extraction order.
-    pub leaf_domains: Vec<(String, Vec<LeafTarget>)>,
-    /// Sorted lower-cased base relations the view reads.
-    pub relations: Vec<String>,
 }
 
 /// The result of routing one update through the index.
@@ -527,6 +501,26 @@ UPDATE $a { DELETE $a/review }"#,
         assert!(idx.views_reading("book").contains(&"dear".to_string()));
         assert!(!idx.views_reading("book").contains(&"cheap".to_string()));
         idx.remove("no-such-view"); // no-op
+    }
+
+    #[test]
+    fn from_sorted_refuses_unordered_collections() {
+        let sig = ViewSignature::of(&asg(&db(), BOOKS_CHEAP));
+        let with_tokens = |tokens: Vec<String>| {
+            ViewSignature::from_sorted(
+                tokens,
+                sig.edges().to_vec(),
+                sig.root_children().to_vec(),
+                sig.leaf_domains().to_vec(),
+                sig.relations().to_vec(),
+            )
+        };
+        assert!(with_tokens(sig.tokens().to_vec()).is_ok());
+        let mut reversed = sig.tokens().to_vec();
+        reversed.reverse();
+        assert!(with_tokens(reversed).is_err(), "descending tokens");
+        let doubled = vec![sig.tokens()[0].clone(), sig.tokens()[0].clone()];
+        assert!(with_tokens(doubled).is_err(), "duplicate token");
     }
 
     #[test]

@@ -113,7 +113,7 @@ mod postings;
 mod trie;
 
 pub use footprint::Footprint;
-pub use index::{LeafTarget, PruneLevels, RelevanceIndex, Route, SignatureParts, ViewSignature};
+pub use index::{LeafTarget, PruneLevels, RelevanceIndex, Route, ViewSignature};
 pub use overlap::{constant_preds_disjoint, ConstPred};
 pub use postings::IndexStats;
 pub use trie::TrieIndex;

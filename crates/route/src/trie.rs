@@ -91,7 +91,7 @@ use ufilter_rdb::{CmpOp, DataType, Value};
 use ufilter_xquery::UpdateStmt;
 
 use crate::footprint::Footprint;
-use crate::index::{PruneLevels, Route, SignatureParts, ViewSignature};
+use crate::index::{PruneLevels, Route, ViewSignature};
 use crate::postings::{
     intersect_all, IndexStats, Postings, Requirement, TagInterner, ViewInterner,
 };
@@ -480,34 +480,28 @@ impl TrieIndex {
         self.insert_signature(name, ViewSignature::of(asg));
     }
 
-    /// Index `name` under a pre-extracted signature. Warm restarts use
-    /// this with the signature decoded from the persisted artifact
-    /// prelude, so a 10⁴-view catalog populates the trie without touching
-    /// a single ASG.
+    /// Index `name` under a pre-extracted signature (replacing any previous
+    /// entry under that name). Warm restarts use this with the signature
+    /// decoded from the persisted artifact prelude, so a 10⁴-view catalog
+    /// populates the trie without touching a single ASG.
     pub fn insert_signature(&mut self, name: &str, sig: ViewSignature) {
-        self.insert_parts(name, sig.to_parts());
-    }
-
-    /// Index `name` from a signature's serialized decomposition (replacing
-    /// any previous entry under that name).
-    pub fn insert_parts(&mut self, name: &str, parts: SignatureParts) {
         self.remove(name);
         let vid = self.views.intern(name);
         let mut entry = ViewEntry::default();
 
-        for rc in &parts.root_children {
+        for rc in &sig.root_children {
             let t = self.tags.intern(rc);
             let n = self.child_or_create(ANCHORED_ROOT, t);
             self.nodes[n as usize].postings.insert(vid);
             entry.nodes.push(n);
         }
-        for tok in &parts.tokens {
+        for tok in &sig.tokens {
             let t = self.tags.intern(tok);
             let n = self.child_or_create(FLOATING_ROOT, t);
             self.nodes[n as usize].postings.insert(vid);
             entry.nodes.push(n);
         }
-        for (p, c) in &parts.edges {
+        for (p, c) in &sig.edges {
             let pt = self.tags.intern(p);
             let ct = self.tags.intern(c);
             let pn = self.child_or_create(FLOATING_ROOT, pt);
@@ -516,9 +510,7 @@ impl TrieIndex {
             entry.nodes.push(en);
         }
 
-        let with_entry: HashSet<&str> =
-            parts.leaf_domains.iter().map(|(tag, _)| tag.as_str()).collect();
-        for (tag, targets) in &parts.leaf_domains {
+        for (tag, targets) in &sig.leaf_domains {
             let t = self.tags.intern(tag);
             let pi = self.pred.entry(t).or_default();
             let mut seen: HashSet<u32> = HashSet::new();
@@ -536,18 +528,18 @@ impl TrieIndex {
             }
             pi.invalidate();
         }
-        for tok in &parts.tokens {
-            if !with_entry.contains(tok.as_str()) {
+        for tok in &sig.tokens {
+            if sig.leaf_domains.binary_search_by(|(tag, _)| tag.cmp(tok)).is_err() {
                 let t = self.tags.intern(tok);
                 self.pred.entry(t).or_default().pass.insert(vid);
                 entry.pred_pass.push(t);
             }
         }
 
-        for rel in &parts.relations {
+        for rel in &sig.relations {
             self.rel_postings.entry(rel.clone()).or_default().insert(vid);
         }
-        entry.relations = parts.relations;
+        entry.relations = sig.relations;
         self.entries.insert(vid, entry);
         self.inserts += 1;
     }

@@ -5,7 +5,8 @@
 # non-OK reply, missing Prometheus metric family, or hang. A second phase SIGKILLs a durable (--data-dir) server mid-session
 # and asserts the restarted server recovers to byte-identical replies. A
 # third phase asserts that, under every --strategy, checking never changes
-# the database a check slot holds.
+# the database a check slot holds. The last two phases gate in-process
+# ratios: trie vs linear routing, and warm vs cold durable restart.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -278,3 +279,19 @@ RATIO=$(awk -v t="$TRIE_US" -v l="$LINEAR_US" 'BEGIN { printf "%.1f", (t > 0 ? l
 awk -v r="$RATIO" 'BEGIN { exit !(r >= 300) }' \
     || { echo "FAIL: warm trie routes only ${RATIO}x faster than the linear walk (need >= 300x)"; exit 1; }
 echo "route-scale smoke OK (linear/trie = ${RATIO}x)"
+
+# ---- persist phase: warm restart vs cold recompile ----------------------
+# `paper-figures persist` times, in one process, a store open plus a warm
+# replay (each view registered from its artifact prelude) against the same
+# open plus a replay that recompiles every view. Host speed cancels in the
+# ratio: at N=1000 the warm restart must be at least 5x faster
+# (BENCH_persist.json's bar).
+PERSIST=$(timeout 120 "$FIGS" persist --reps 3)
+ROW=$(grep -o '\["1000",[^]]*\]' <<< "$PERSIST" | head -1)
+[ -n "$ROW" ] || { echo "FAIL: persist bench printed no N=1000 row"; echo "$PERSIST"; exit 1; }
+echo "persist N=1000 row: $ROW"
+SPEEDUP=$(sed -n 's/.*,"\([0-9.]*\)x"\]$/\1/p' <<< "$ROW")
+[[ "$SPEEDUP" =~ ^[0-9.]+$ ]] || { echo "FAIL: persist row lacks a restart speedup"; exit 1; }
+awk -v s="$SPEEDUP" 'BEGIN { exit !(s >= 5) }' \
+    || { echo "FAIL: warm restart only ${SPEEDUP}x faster than cold recompile (need >= 5x)"; exit 1; }
+echo "persist smoke OK (warm restart ${SPEEDUP}x faster than cold recompile at N=1000)"

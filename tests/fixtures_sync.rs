@@ -70,8 +70,8 @@ fn views_many_fixture_matches_the_generator() {
 /// Pin the on-disk persistence format (`ufilter_core::persist`): a fixed
 /// catalog session — two adds, guarded DDL, a drop, a compaction, one more
 /// add — must produce byte-identical `catalog.snap`/`catalog.log` files to
-/// the committed fixtures. The codec is deterministic (sorted marking maps,
-/// canonical view text), so a byte diff means the format changed: bump
+/// the committed fixtures. The codec is deterministic (sorted signature
+/// vectors, canonical view text), so a byte diff means the format changed: bump
 /// `FORMAT_VERSION`/`ARTIFACT_VERSION`, update `docs/PERSISTENCE.md`, and
 /// regenerate with `UFILTER_REGEN_FIXTURES=1 cargo test --test fixtures_sync`.
 #[test]

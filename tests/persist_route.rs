@@ -2,11 +2,11 @@
 //!
 //! The contract under test: replaying a persisted many-view catalog
 //! populates the shared path-trie routing index **straight from the
-//! artifact preludes** — `decode_artifact_header` yields each view's
-//! routing signature without decoding (or recompiling) a single ASG — and
-//! the warm catalog routes byte-identically to the catalog that compiled
-//! every view from source. Routing itself must never force hydration:
-//! candidate selection is a pure signature-index operation.
+//! artifacts** — `decode_artifact_header` yields each view's routing
+//! signature without compiling a single view (each compiles at its first
+//! check) — and the warm catalog routes byte-identically to the catalog
+//! that compiled every view from source. Routing itself must never force
+//! a compile: candidate selection is a pure signature-index operation.
 
 use std::sync::{Arc, Mutex};
 
@@ -27,7 +27,7 @@ fn warm_restart_populates_the_trie_without_decoding_any_asg() {
     let _ = std::fs::remove_dir_all(&dir);
 
     // Build and persist the catalog the slow way: every view compiled from
-    // source, every Add record carrying its full serialized artifact.
+    // source, every Add record carrying its artifact (config + signature).
     let mut cold = ViewCatalog::new(schema.clone());
     cold.attach_store(Arc::new(Mutex::new(CatalogStore::open(&dir).expect("store opens"))));
     for (name, text) in many_views(N, scale) {
@@ -47,9 +47,9 @@ fn warm_restart_populates_the_trie_without_decoding_any_asg() {
     assert_eq!(stats.rehydrated, N, "every view rehydrates from its artifact prelude");
     assert_eq!(stats.recompiled, 0, "no view falls back to a recompile");
 
-    // The pin: replay populated the routing index without decoding any ASG.
+    // The pin: replay populated the routing index without compiling a view.
     assert_eq!(warm.len(), N);
-    assert_eq!(warm.hydrated_count(), 0, "replay decoded an ASG it should have deferred");
+    assert_eq!(warm.hydrated_count(), 0, "replay compiled a view it should have deferred");
     let warm_stats = warm.index_stats();
     assert_eq!(warm_stats.nodes, cold_stats.nodes, "trie shape differs after warm restart");
     assert_eq!(warm_stats.postings, cold_stats.postings);
