@@ -634,7 +634,7 @@ pub fn batch_json(reps: usize) -> String {
 // ---------------------------------------------------------------------------
 
 /// Check-all fan-out over an `n`-view partitioned catalog: routed items
-/// (the path trie picks each update's candidates) against the brute-force
+/// (the routing index picks each update's candidates) against the brute-force
 /// baseline, the same updates sent as one request naming every view, on
 /// the same `len`-update stream. The differential soundness test
 /// (`tests/route_soundness.rs`) pins both to identical outcomes on
@@ -678,7 +678,7 @@ pub fn route_fanout(len: usize, reps: usize, sweep: &[usize]) -> Table {
     }
     Table {
         title: format!(
-            "Catalog-wide check-all: path-trie routing vs brute-force every-view request \
+            "Catalog-wide check-all: index routing vs brute-force every-view request \
              ({len}-update TPC-H fan-out stream, partitioned many-view catalog)"
         ),
         headers: vec![
@@ -711,7 +711,7 @@ fn many_signatures(n: usize, scale: Scale) -> Vec<(String, ufilter_route::ViewSi
         .collect()
 }
 
-/// Route-only scaling of the shared path trie ([`ufilter_route::TrieIndex`])
+/// Route-only scaling of the shared posting-list index ([`ufilter_route::TrieIndex`])
 /// against the legacy per-view linear walk ([`ufilter_route::RelevanceIndex`])
 /// at 10^3–10^5 views: same signatures, same update footprints, candidate
 /// sets asserted equal per update. Reports the trie's resident memory
@@ -782,7 +782,7 @@ pub fn route_trie_scale(len: usize, reps: usize, sweep: &[usize]) -> Table {
     }
     Table {
         title: format!(
-            "Route-only scaling: shared path trie vs legacy linear walk \
+            "Route-only scaling: shared posting-list index vs legacy linear walk \
              ({len}-update TPC-H fan-out stream, signature-only catalog, \
              candidate sets asserted equal per update)"
         ),
@@ -878,7 +878,7 @@ pub fn route_json(reps: usize) -> String {
     format!(
         "{{\n  \"schema_version\": 1,\n  \"note\": \"wall-clock medians; the check-all table \
          pins the end-to-end fan-out (index must beat brute force at N=1000); the route-only \
-         table pins the shared path trie against the legacy linear walk at equal candidate \
+         table pins the shared posting-list index against the legacy linear walk at equal candidate \
          sets (asserted per update) and must show >=10x at N=100000, with the trie's resident \
          footprint in MiB; outcomes on candidates are pinned identical by \
          tests/route_soundness.rs\",\n  \
@@ -1017,4 +1017,30 @@ pub fn persist_json(reps: usize) -> String {
          (tests/persist_recovery.rs)\",\n  \
          \"reps\": {reps},\n  \"tables\": [\n    {body}\n  ]\n}}\n"
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ufilter_route::TrieIndex;
+
+    /// The N=1000 signature catalog reports the structural gauges of the
+    /// committed `BENCH_route.json` row — 35 posting lists over tags, root
+    /// children and edges, 24,999 postings — and removing and re-inserting
+    /// one view restores them.
+    #[test]
+    fn signature_catalog_gauges_match_the_route_bench() {
+        let sigs = many_signatures(1000, Scale::tiny());
+        let mut trie = TrieIndex::new();
+        for (name, sig) in &sigs {
+            trie.insert_signature(name, sig.clone());
+        }
+        let gauges = |trie: &TrieIndex| (trie.stats().nodes, trie.stats().postings);
+        assert_eq!(gauges(&trie), (35, 24_999));
+        let (name, sig) = &sigs[sigs.len() / 2];
+        trie.remove(name);
+        assert!(gauges(&trie).1 < 24_999, "removal unposts the view");
+        trie.insert_signature(name, sig.clone());
+        assert_eq!(gauges(&trie), (35, 24_999));
+    }
 }

@@ -303,7 +303,7 @@ pub struct ViewCatalog {
     /// caller-held [`ProbeCache`] by the batch engine so probe results can
     /// never survive a schema change.
     epoch: u64,
-    /// The shared path-trie relevance index over every registered view,
+    /// The shared posting-list relevance index over every registered view,
     /// maintained incrementally by `add`/`drop_view` (see
     /// [`ufilter_route::TrieIndex`]).
     index: TrieIndex,
@@ -388,26 +388,11 @@ impl ViewCatalog {
         if self.views.contains_key(name) {
             return Err(CatalogError::DuplicateView { name: name.to_string() });
         }
-        let key = (canonicalize(view_text), self.config);
-        let canonical = key.0.clone();
-        let (filter, cached) = match self.compiled.get(&key) {
-            Some(f) => {
-                self.compile_hits += 1;
-                (Arc::clone(f), true)
-            }
-            None => {
-                let f = UFilter::compile(view_text, &self.schema)
-                    .map(|f| f.with_config(self.config))
-                    .map_err(|error| CatalogError::Compile { name: name.to_string(), error })?;
-                let f = Arc::new(f);
-                self.compiled.insert(key, Arc::clone(&f));
-                (f, false)
-            }
-        };
+        let (filter, cached) = self.compile_once(name, view_text)?;
         let sig = ViewSignature::of(&filter.asg);
         self.append_record(|| LogRecord::Add {
             name: name.to_string(),
-            view_text: canonical,
+            view_text: canonicalize(view_text),
             deps: filter.asg.relations.clone(),
             cached,
             artifact: persist::encode_artifact(filter.config, &sig),
@@ -656,23 +641,30 @@ impl ViewCatalog {
         // Blank, damaged, or foreign-version/config artifact: fall back to
         // the compile-once cache on the canonical text, then to an eager
         // compile.
-        let key = (canonicalize(view_text), self.config);
-        if let Some(f) = self.compiled.get(&key) {
-            // Identical text already compiled this session: share it.
-            self.compile_hits += 1;
-            let f = Arc::clone(f);
-            self.index.insert(name, &f.asg);
-            self.views.insert(name.to_string(), Registered::eager(f, cached));
-            return Ok(true);
-        }
-        let f = UFilter::compile(view_text, &self.schema)
-            .map(|f| f.with_config(self.config))
-            .map_err(|error| CatalogError::Compile { name: name.to_string(), error })?;
-        let f = Arc::new(f);
-        self.compiled.insert(key, Arc::clone(&f));
+        let (f, hit) = self.compile_once(name, view_text)?;
         self.index.insert(name, &f.asg);
         self.views.insert(name.to_string(), Registered::eager(f, cached));
-        Ok(false)
+        Ok(hit)
+    }
+
+    /// `view_text` compiled under the current config: shared from the
+    /// compile-once cache when canonically identical text was compiled
+    /// before (the `bool` says so), else compiled and cached.
+    fn compile_once(
+        &mut self,
+        name: &str,
+        view_text: &str,
+    ) -> Result<(Arc<UFilter>, bool), CatalogError> {
+        let key = (canonicalize(view_text), self.config);
+        if let Some(f) = self.compiled.get(&key) {
+            self.compile_hits += 1;
+            return Ok((Arc::clone(f), true));
+        }
+        let f = UFilter::compile(view_text, &self.schema)
+            .map(|f| Arc::new(f.with_config(self.config)))
+            .map_err(|error| CatalogError::Compile { name: name.to_string(), error })?;
+        self.compiled.insert(key, Arc::clone(&f));
+        Ok((f, false))
     }
 
     /// Rebuild the catalog from recovered records, in order: `Add`s

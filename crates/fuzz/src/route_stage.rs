@@ -1,4 +1,5 @@
-//! The routing-agreement oracle stage: shared path trie vs linear walk.
+//! The routing-agreement oracle stage: shared posting-list index vs linear
+//! walk.
 //!
 //! For every generated plan, the compiled view ASGs feed both routing
 //! index implementations — the production [`TrieIndex`] and the

@@ -19,14 +19,16 @@ use crate::expr::{CmpOp, ColRef, Expr};
 use crate::types::{DataType, Value};
 
 /// One endpoint of an interval.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Bound {
     pub value: Value,
     pub inclusive: bool,
 }
 
 /// The set of values a single column may take under a conjunction of atoms.
-#[derive(Debug, Clone, Default)]
+/// Equality and hashing compare the parts by [`Value`]'s equality, under
+/// which `Int(20)` equals `Double(20.0)`.
+#[derive(Debug, Clone, Default, PartialEq, Eq, Hash)]
 pub struct Domain {
     pub eq: Option<Value>,
     pub ne: Vec<Value>,

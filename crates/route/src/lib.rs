@@ -12,8 +12,8 @@
 //! paper's ASG artifacts.
 //!
 //! Two implementations share the signature/footprint contract: the
-//! [`TrieIndex`] (production — every view's signature merged into one
-//! shared path trie with compact integer postings, built for 10^5–10^6-view
+//! [`TrieIndex`] (production — every view's signature posted into one
+//! shared map of compact integer posting lists, built for 10^5–10^6-view
 //! catalogs) and the original per-view [`RelevanceIndex`] (retained as the
 //! linear-walk differential oracle). Both route to identical [`Route`]s
 //! and split the pruned views into identical per-level [`PruneLevels`];

@@ -1,7 +1,7 @@
-//! Memory-compact building blocks of the shared path trie: `u32` interners
-//! for view names and tags, sorted-`u32` posting lists with a galloping
-//! intersection and a merge union, and the resident gauges the service
-//! `STATS` verb reports.
+//! Memory-compact building blocks of the shared routing index: `u32`
+//! interners for view names and for tags and relations, sorted-`u32`
+//! posting lists with a galloping intersection and a merge union, and the
+//! resident gauges the service `STATS` verb reports.
 //!
 //! Everything routing touches per request is a slice of `u32` view ids —
 //! 4 bytes per posting entry instead of an owned `String` per (tag, view)
@@ -49,10 +49,6 @@ impl ViewInterner {
         self.names[id as usize] = None;
         self.free.push(id);
         Some(id)
-    }
-
-    pub(crate) fn id(&self, name: &str) -> Option<u32> {
-        self.by_name.get(name).copied()
     }
 
     /// The name behind a live id.
@@ -105,8 +101,8 @@ impl TagInterner {
     }
 }
 
-/// A sorted list of view ids — the postings attached to every trie node,
-/// relation, and predicate target.
+/// A sorted list of view ids — the postings of every tag, root child,
+/// edge, relation and predicate target.
 #[derive(Debug, Default, Clone)]
 pub(crate) struct Postings(Vec<u32>);
 
@@ -149,7 +145,7 @@ impl Postings {
 }
 
 /// One routing requirement: a view meets it when its id is in at least one
-/// of these sorted slices. A token, root-child or edge node is one slice; a
+/// of these sorted slices. A token, root-child or edge list is one slice; a
 /// predicate is its pass-through list plus the postings of every target it
 /// leaves satisfiable. No slice at all is a requirement no view meets.
 pub(crate) type Requirement<'a> = Vec<&'a [u32]>;
@@ -257,13 +253,15 @@ pub(crate) fn union(lists: &[&[u32]]) -> Vec<u32> {
 /// `STATS` verb reports them.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct IndexStats {
-    /// Live trie nodes (anchored root children, floating tag nodes, edge
-    /// nodes).
+    /// Structural posting lists: one per tag in some view's vocabulary, per
+    /// tag some view's root has as a direct child, and per parent→child
+    /// tag edge. (Relation lists are not counted; the name predates the
+    /// flat layout, when each of these lists was a path-trie node.)
     pub nodes: usize,
-    /// Total posting entries across trie nodes, relation postings and
-    /// predicate targets.
+    /// Total posting entries across the structural lists, relation lists,
+    /// pass-through lists and predicate targets.
     pub postings: usize,
-    /// Approximate resident bytes of the whole index (postings, nodes,
+    /// Approximate resident bytes of the whole index (posting lists,
     /// interners, deduplicated predicate targets).
     pub bytes: usize,
     /// Incremental view insertions since the index was created.

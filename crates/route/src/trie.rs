@@ -1,25 +1,27 @@
-//! The shared path-trie routing index: every registered view's signature
-//! merged into **one** structure, so routing cost scales with the update's
+//! The shared routing index: every registered view's signature posted into
+//! **one** map of posting lists, so routing cost scales with the update's
 //! footprint and the postings of its rarest requirement, not with the
 //! catalog's size.
 //!
-//! ## Node layout
+//! ## Posting lists
 //!
-//! The trie has two branches under a shared root (YFilter's split between
-//! anchored and floating path steps, specialised to the two structural
-//! requirements a [`Footprint`] can carry):
+//! Tag and relation names are interned to `u32` ids, and one `HashMap`
+//! holds a sorted `u32` posting list of view ids ([`crate::postings`]) per
+//! key a view can carry:
 //!
-//! * **Anchored branch** — one depth-1 node per distinct tag that is a
-//!   direct child of some view's root. Its postings answer the footprint's
-//!   `root_children` requirements (first steps of `document(…)` bindings).
-//! * **Floating branch** (`//tag`) — one depth-1 node per distinct tag in
-//!   any view's vocabulary; its postings answer token requirements
-//!   (level 1). Each floating node's children are the tags observed as its
-//!   ASG children; those depth-2 nodes' postings answer `(parent, child)`
-//!   edge requirements (level 2).
+//! * `Token(tag)` — views whose vocabulary holds the tag; answers the
+//!   footprint's token requirements (level 1).
+//! * `RootChild(tag)` — views whose root has the tag as a direct child;
+//!   answers its `root_children` requirements (first steps of
+//!   `document(…)` bindings, level 2).
+//! * `Edge(parent, child)` — views with that parent→child tag edge; answers
+//!   its edge requirements (level 2).
+//! * `Relation(rel)` — views reading the base relation; answers the
+//!   catalog's dependency queries, never a route.
 //!
-//! Every node carries a sorted `u32` posting list of view ids
-//! ([`crate::postings`]).
+//! No route walks a path: each requirement is one lookup. The type keeps
+//! the name of the path trie this map replaced, as do the `STATS` `trie_*`
+//! keys and the `ufilter_trie_*` metrics.
 //!
 //! ## Routing: one intersection, rarest requirement first
 //!
@@ -40,11 +42,16 @@
 //! ## Predicate level: deduplicated targets + interval pre-filter
 //!
 //! Level 3 is where a linear index spends its time: every surviving view
-//! clones and re-constrains a [`Domain`] per predicate. The trie instead
+//! clones and re-constrains a [`Domain`] per predicate. This index instead
 //! keeps, per tag, the **distinct** `(type, domain, hint)` resolution
-//! targets across all views (deduplicated by structural key, each with its
-//! own postings — partition families collapse to one target per
-//! partition, unconstrained columns collapse to a single shared target).
+//! targets across all views (deduplicated by value, each with its own
+//! postings — partition families collapse to one target per partition,
+//! unconstrained columns collapse to a single shared target). Value
+//! equality identifies an `Int` and a `Double` of the same number, so
+//! `price < 20` and `price < 20.00` share a target; every domain operation
+//! compares numbers by that same `f64` value, so the shared target prunes
+//! exactly as the two would apart (for integers up to 2^53, which an `f64`
+//! holds exactly).
 //! Targets whose domain is a pure interval with numeric endpoints are also
 //! entered into sorted endpoint arrays, so an equality predicate finds the
 //! few stabbed intervals by binary search and only those run the real
@@ -61,16 +68,16 @@
 //! ## Incremental remove
 //!
 //! Removal is the mirror of insertion, O(size of the removed view's own
-//! signature): each posting entry is deleted by binary search, trie nodes
-//! whose postings and children both emptied are unlinked and their ids
-//! recycled, and predicate targets are freed when their postings empty.
-//! The per-tag endpoint arrays are *not* rebuilt inline — mutation just
-//! drops the derived arrays and the next route rebuilds them once (an
-//! add/drop burst pays one O(m log m) rebuild, not one per mutation).
+//! signature): each posting entry is deleted by binary search, emptied
+//! posting lists are dropped, and predicate targets are freed (their slots
+//! recycled) when their postings empty. The per-tag endpoint arrays are
+//! *not* rebuilt inline — every mutation resets them and the next route
+//! that needs them derives them once (an add/drop burst pays one
+//! O(m log m) rebuild, not one per mutation).
 //!
 //! ## Soundness
 //!
-//! The trie prunes exactly when the per-view
+//! The index prunes exactly when the per-view
 //! [`RelevanceIndex`](crate::RelevanceIndex) test would: level 1/2
 //! postings are set-decompositions of the same signature fields, and level
 //! 3 evaluates the same domains with the same typing and the same
@@ -82,8 +89,9 @@
 //! with differential tests (`tests/route_soundness.rs`) and a fuzz oracle
 //! (`ufilter-fuzz`).
 
-use std::collections::{HashMap, HashSet};
-use std::sync::{Arc, RwLock};
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::sync::OnceLock;
 
 use ufilter_asg::ViewAsg;
 use ufilter_rdb::sat::Domain;
@@ -96,18 +104,17 @@ use crate::postings::{
     intersect_all, IndexStats, Postings, Requirement, TagInterner, ViewInterner,
 };
 
-/// Node id of the anchored branch root.
-const ANCHORED_ROOT: u32 = 0;
-/// Node id of the floating (`//`) branch root.
-const FLOATING_ROOT: u32 = 1;
-
-#[derive(Debug, Default)]
-struct TrieNode {
-    parent: u32,
-    tag: u32,
-    children: HashMap<u32, u32>,
-    postings: Postings,
-    live: bool,
+/// What a posting list answers; tags and relations are [`TagInterner`] ids.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+enum Key {
+    /// Views whose vocabulary holds the tag (level 1).
+    Token(u32),
+    /// Views whose root has the tag as a direct child (level 2).
+    RootChild(u32),
+    /// Views with the `(parent, child)` tag edge (level 2).
+    Edge(u32, u32),
+    /// Views reading the relation (dependency queries).
+    Relation(u32),
 }
 
 /// One deduplicated predicate resolution target: the shared
@@ -117,23 +124,19 @@ struct PredTarget {
     ty: DataType,
     sat_ty: DataType,
     domain: Domain,
-    /// Structural dedupe key (also the `by_key` reverse entry to erase on
-    /// free).
-    key: String,
     /// Widened `(lo, hi)` endpoint keys when the domain is a pure numeric
     /// interval; `None` ⇒ the target is always evaluated exactly.
     interval: Option<(f64, f64)>,
     postings: Postings,
 }
 
-/// Per-`DataType` view of a tag's targets, derived lazily from the slot
-/// table: the sorted endpoint arrays the interval pre-filter searches.
-/// Intervals with an infinite endpoint are kept apart from the finite ones,
-/// so one unbounded interval cannot pin the equality stab's running
-/// max-`hi` bound at +∞ and turn the stab into a scan.
-#[derive(Debug)]
+/// The sorted endpoint arrays the interval pre-filter searches, over the
+/// live slots of one `DataType`. Intervals with an infinite endpoint are
+/// kept apart from the finite ones, so one unbounded interval cannot pin
+/// the equality stab's running max-`hi` bound at +∞ and turn the stab into
+/// a scan.
+#[derive(Debug, Default)]
 struct Group {
-    ty: DataType,
     /// Every live slot of this type (the exact-evaluation fallback set).
     members: Vec<u32>,
     /// Finite intervals as `(lo, hi, slot)`, ascending `lo`.
@@ -153,54 +156,35 @@ struct Group {
     residual: Vec<u32>,
 }
 
-impl Default for Group {
-    fn default() -> Group {
-        Group {
-            ty: DataType::Str,
-            members: Vec::new(),
-            by_lo: Vec::new(),
-            prefix_max_hi: Vec::new(),
-            by_hi: Vec::new(),
-            open_lo: Vec::new(),
-            open_hi: Vec::new(),
-            residual: Vec::new(),
-        }
-    }
-}
-
-#[derive(Debug, Default)]
-struct Derived {
-    groups: Vec<Group>,
-}
-
 /// The level-3 index of one tag: deduplicated targets, the pass-through
 /// postings, and the lazily derived endpoint arrays.
 #[derive(Debug, Default)]
 struct PredIndex {
     /// Views whose vocabulary contains the tag but whose signature carries
     /// **no** `leaf_domains` entry for it — the legacy index passes those
-    /// unconditionally, so the trie must too.
+    /// unconditionally, so this index must too.
     pass: Postings,
     slots: Vec<Option<PredTarget>>,
     free: Vec<u32>,
-    by_key: HashMap<String, u32>,
-    /// `None` ⇒ dirty; rebuilt on the next route that needs it. Mutations
-    /// run under `&mut self` (no readers), so the lock is only for the
-    /// lazy fill under `&self`.
-    derived: RwLock<Option<Arc<Derived>>>,
+    /// Live slot of each distinct `(type, hint, domain)` target.
+    by_key: HashMap<(DataType, DataType, Domain), u32>,
+    /// Endpoint arrays per `DataType`, derived on the first route after a
+    /// mutation; every mutation (under `&mut self`) resets them.
+    groups: OnceLock<Vec<(DataType, Group)>>,
 }
 
 impl PredIndex {
-    fn slot_for(&mut self, key: String, ty: DataType, sat_ty: DataType, domain: &Domain) -> u32 {
-        if let Some(slot) = self.by_key.get(&key) {
-            return *slot;
-        }
+    fn slot_for(&mut self, ty: DataType, sat_ty: DataType, domain: Domain) -> u32 {
+        let vacant = match self.by_key.entry((ty, sat_ty, domain)) {
+            Entry::Occupied(e) => return *e.get(),
+            Entry::Vacant(e) => e,
+        };
+        let domain = vacant.key().2.clone();
         let target = PredTarget {
             ty,
             sat_ty,
-            domain: domain.clone(),
-            key: key.clone(),
-            interval: interval_of(domain),
+            interval: interval_of(&domain),
+            domain,
             postings: Postings::default(),
         };
         let slot = match self.free.pop() {
@@ -213,7 +197,7 @@ impl PredIndex {
                 (self.slots.len() - 1) as u32
             }
         };
-        self.by_key.insert(key, slot);
+        vacant.insert(slot);
         slot
     }
 
@@ -225,56 +209,45 @@ impl PredIndex {
         self.pass.is_empty() && self.by_key.is_empty()
     }
 
-    fn invalidate(&mut self) {
-        *self.derived.get_mut().expect("derived lock") = None;
-    }
-
-    fn derived(&self) -> Arc<Derived> {
-        if let Some(d) = self.derived.read().expect("derived lock").as_ref() {
-            return Arc::clone(d);
-        }
-        let mut w = self.derived.write().expect("derived lock");
-        if let Some(d) = w.as_ref() {
-            return Arc::clone(d);
-        }
-        let mut groups: Vec<Group> = Vec::new();
-        for (slot, t) in self.slots.iter().enumerate() {
-            let Some(t) = t else { continue };
-            let slot = slot as u32;
-            let g = match groups.iter_mut().find(|g| g.ty == t.ty) {
-                Some(g) => g,
-                None => {
-                    groups.push(Group { ty: t.ty, ..Group::default() });
-                    groups.last_mut().expect("just pushed")
+    fn groups(&self) -> &[(DataType, Group)] {
+        self.groups.get_or_init(|| {
+            let mut groups: Vec<(DataType, Group)> = Vec::new();
+            for (slot, t) in self.slots.iter().enumerate() {
+                let Some(t) = t else { continue };
+                let slot = slot as u32;
+                let i = groups.iter().position(|(ty, _)| *ty == t.ty).unwrap_or_else(|| {
+                    groups.push((t.ty, Group::default()));
+                    groups.len() - 1
+                });
+                let g = &mut groups[i].1;
+                g.members.push(slot);
+                match t.interval {
+                    Some((lo, hi)) if lo.is_finite() && hi.is_finite() => {
+                        g.by_lo.push((lo, hi, slot))
+                    }
+                    Some((lo, _)) if lo.is_finite() => g.open_hi.push((lo, slot)),
+                    Some((_, hi)) if hi.is_finite() => g.open_lo.push((hi, slot)),
+                    _ => g.residual.push(slot),
                 }
-            };
-            g.members.push(slot);
-            match t.interval {
-                Some((lo, hi)) if lo.is_finite() && hi.is_finite() => g.by_lo.push((lo, hi, slot)),
-                Some((lo, _)) if lo.is_finite() => g.open_hi.push((lo, slot)),
-                Some((_, hi)) if hi.is_finite() => g.open_lo.push((hi, slot)),
-                _ => g.residual.push(slot),
             }
-        }
-        for g in &mut groups {
-            g.by_lo.sort_by(|a, b| a.0.total_cmp(&b.0));
-            let mut max_hi = f64::NEG_INFINITY;
-            g.prefix_max_hi = g
-                .by_lo
-                .iter()
-                .map(|(_, hi, _)| {
-                    max_hi = max_hi.max(*hi);
-                    max_hi
-                })
-                .collect();
-            g.by_hi = g.by_lo.iter().map(|(_, hi, slot)| (*hi, *slot)).collect();
-            g.by_hi.sort_by(|a, b| a.0.total_cmp(&b.0));
-            g.open_lo.sort_by(|a, b| a.0.total_cmp(&b.0));
-            g.open_hi.sort_by(|a, b| a.0.total_cmp(&b.0));
-        }
-        let d = Arc::new(Derived { groups });
-        *w = Some(Arc::clone(&d));
-        d
+            for (_, g) in &mut groups {
+                g.by_lo.sort_by(|a, b| a.0.total_cmp(&b.0));
+                let mut max_hi = f64::NEG_INFINITY;
+                g.prefix_max_hi = g
+                    .by_lo
+                    .iter()
+                    .map(|(_, hi, _)| {
+                        max_hi = max_hi.max(*hi);
+                        max_hi
+                    })
+                    .collect();
+                g.by_hi = g.by_lo.iter().map(|(_, hi, slot)| (*hi, *slot)).collect();
+                g.by_hi.sort_by(|a, b| a.0.total_cmp(&b.0));
+                g.open_lo.sort_by(|a, b| a.0.total_cmp(&b.0));
+                g.open_hi.sort_by(|a, b| a.0.total_cmp(&b.0));
+            }
+            groups
+        })
     }
 
     /// The requirement `tag θ value` puts on a view: the pass-through
@@ -282,10 +255,9 @@ impl PredIndex {
     /// stays satisfiable, kept as separate slices. Exactly the per-view
     /// level-3 test, shared across views.
     fn allowed(&self, op: CmpOp, value: &Value) -> Requirement<'_> {
-        let derived = self.derived();
         let mut sat_slots: Vec<u32> = Vec::new();
-        for g in &derived.groups {
-            let typed = typed_literal(value, g.ty);
+        for (ty, g) in self.groups() {
+            let typed = typed_literal(value, *ty);
             let sat = |slot: &u32| {
                 let t = self.target(*slot);
                 let mut d = t.domain.clone();
@@ -409,17 +381,15 @@ fn interval_of(d: &Domain) -> Option<(f64, f64)> {
 /// removal must undo, held as plain id vectors (no signature copy).
 #[derive(Debug, Default)]
 struct ViewEntry {
-    /// Trie nodes whose postings carry this view's id.
-    nodes: Vec<u32>,
+    /// Keys whose posting lists carry this view's id.
+    keys: Vec<Key>,
     /// `(tag id, target slot)` pairs this view's id was posted under.
     pred_targets: Vec<(u32, u32)>,
     /// Tag ids whose pass-through postings carry this view's id.
     pred_pass: Vec<u32>,
-    /// Lower-cased relations the view reads.
-    relations: Vec<String>,
 }
 
-/// The shared path-trie relevance index — the production routing index of
+/// The shared relevance index — the production routing index of
 /// `ufilter_core`'s catalog at any catalog size, with the per-view
 /// [`RelevanceIndex`](crate::RelevanceIndex) kept as the differential
 /// oracle.
@@ -428,40 +398,22 @@ struct ViewEntry {
 /// (identical routes and identical on-demand per-level splits); the
 /// module-level comments describe the structure and the soundness
 /// argument, and [`TrieIndex::stats`] exposes the resident gauges.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct TrieIndex {
     views: ViewInterner,
+    /// Tag and relation names behind the [`Key`] ids.
     tags: TagInterner,
-    nodes: Vec<TrieNode>,
-    node_free: Vec<u32>,
-    rel_postings: HashMap<String, Postings>,
+    postings: HashMap<Key, Postings>,
     pred: HashMap<u32, PredIndex>,
     entries: HashMap<u32, ViewEntry>,
     inserts: u64,
     removes: u64,
 }
 
-impl Default for TrieIndex {
-    fn default() -> TrieIndex {
-        TrieIndex::new()
-    }
-}
-
 impl TrieIndex {
     /// An empty index.
     pub fn new() -> TrieIndex {
-        let root = |parent| TrieNode { parent, live: true, ..TrieNode::default() };
-        TrieIndex {
-            views: ViewInterner::default(),
-            tags: TagInterner::default(),
-            nodes: vec![root(ANCHORED_ROOT), root(FLOATING_ROOT)],
-            node_free: Vec::new(),
-            rel_postings: HashMap::new(),
-            pred: HashMap::new(),
-            entries: HashMap::new(),
-            inserts: 0,
-            removes: 0,
-        }
+        TrieIndex::default()
     }
 
     /// Number of indexed views.
@@ -483,95 +435,73 @@ impl TrieIndex {
     /// Index `name` under a pre-extracted signature (replacing any previous
     /// entry under that name). Warm restarts use this with the signature
     /// decoded from the persisted artifact prelude, so a 10⁴-view catalog
-    /// populates the trie without touching a single ASG.
+    /// populates the index without touching a single ASG.
     pub fn insert_signature(&mut self, name: &str, sig: ViewSignature) {
         self.remove(name);
         let vid = self.views.intern(name);
-        let mut entry = ViewEntry::default();
+        let ViewSignature { tokens, edges, root_children, leaf_domains, relations } = sig;
+        let tags = &mut self.tags;
+        let mut keys: Vec<Key> = tokens.iter().map(|t| Key::Token(tags.intern(t))).collect();
+        keys.extend(root_children.iter().map(|t| Key::RootChild(tags.intern(t))));
+        keys.extend(edges.iter().map(|(p, c)| Key::Edge(tags.intern(p), tags.intern(c))));
+        keys.extend(relations.iter().map(|r| Key::Relation(tags.intern(r))));
+        for key in &keys {
+            self.postings.entry(*key).or_default().insert(vid);
+        }
+        let mut entry = ViewEntry { keys, ..ViewEntry::default() };
 
-        for rc in &sig.root_children {
-            let t = self.tags.intern(rc);
-            let n = self.child_or_create(ANCHORED_ROOT, t);
-            self.nodes[n as usize].postings.insert(vid);
-            entry.nodes.push(n);
-        }
-        for tok in &sig.tokens {
-            let t = self.tags.intern(tok);
-            let n = self.child_or_create(FLOATING_ROOT, t);
-            self.nodes[n as usize].postings.insert(vid);
-            entry.nodes.push(n);
-        }
-        for (p, c) in &sig.edges {
-            let pt = self.tags.intern(p);
-            let ct = self.tags.intern(c);
-            let pn = self.child_or_create(FLOATING_ROOT, pt);
-            let en = self.child_or_create(pn, ct);
-            self.nodes[en as usize].postings.insert(vid);
-            entry.nodes.push(en);
-        }
-
-        for (tag, targets) in &sig.leaf_domains {
-            let t = self.tags.intern(tag);
-            let pi = self.pred.entry(t).or_default();
-            let mut seen: HashSet<u32> = HashSet::new();
-            for (ty, domain, sat_ty) in targets {
-                let key = format!("{ty:?}|{sat_ty:?}|{domain:?}");
-                let slot = pi.slot_for(key, *ty, *sat_ty, domain);
-                pi.slots[slot as usize]
-                    .as_mut()
-                    .expect("slot_for returns a live slot")
-                    .postings
-                    .insert(vid);
-                if seen.insert(slot) {
-                    entry.pred_targets.push((t, slot));
-                }
-            }
-            pi.invalidate();
-        }
-        for tok in &sig.tokens {
-            if sig.leaf_domains.binary_search_by(|(tag, _)| tag.cmp(tok)).is_err() {
+        for tok in &tokens {
+            if leaf_domains.binary_search_by(|(tag, _)| tag.cmp(tok)).is_err() {
                 let t = self.tags.intern(tok);
                 self.pred.entry(t).or_default().pass.insert(vid);
                 entry.pred_pass.push(t);
             }
         }
-
-        for rel in &sig.relations {
-            self.rel_postings.entry(rel.clone()).or_default().insert(vid);
+        for (tag, targets) in leaf_domains {
+            let t = self.tags.intern(&tag);
+            let pi = self.pred.entry(t).or_default();
+            for (ty, domain, sat_ty) in targets {
+                let slot = pi.slot_for(ty, sat_ty, domain);
+                let target =
+                    pi.slots[slot as usize].as_mut().expect("slot_for returns a live slot");
+                target.postings.insert(vid);
+                entry.pred_targets.push((t, slot));
+            }
+            pi.groups.take();
         }
-        entry.relations = sig.relations;
+        // A tag's equal targets share a slot; record each slot once.
+        entry.pred_targets.sort_unstable();
+        entry.pred_targets.dedup();
         self.entries.insert(vid, entry);
         self.inserts += 1;
     }
 
     /// Drop `name` from the index (a no-op if it was never inserted).
     /// Cost is proportional to the removed view's own signature; emptied
-    /// trie nodes and predicate targets are unlinked and their ids
-    /// recycled, derived endpoint arrays are rebuilt lazily on the next
-    /// route.
+    /// posting lists are dropped, emptied predicate targets freed and their
+    /// slots recycled, and derived endpoint arrays are rebuilt lazily on
+    /// the next route.
     pub fn remove(&mut self, name: &str) {
-        let Some(vid) = self.views.id(name) else { return };
+        let Some(vid) = self.views.release(name) else { return };
         let entry = self.entries.remove(&vid).expect("interned views have an entry");
-        let mut nodes = entry.nodes;
-        nodes.sort_unstable();
-        nodes.dedup();
-        for n in &nodes {
-            self.nodes[*n as usize].postings.remove(vid);
-        }
-        for n in nodes {
-            self.maybe_free_node(n);
+        for key in entry.keys {
+            if let Entry::Occupied(mut p) = self.postings.entry(key) {
+                p.get_mut().remove(vid);
+                if p.get().is_empty() {
+                    p.remove();
+                }
+            }
         }
         for (t, slot) in entry.pred_targets {
             let pi = self.pred.get_mut(&t).expect("posted targets have a pred index");
             let target = pi.slots[slot as usize].as_mut().expect("posted targets are live");
             target.postings.remove(vid);
             if target.postings.is_empty() {
-                let key = std::mem::take(&mut target.key);
-                pi.by_key.remove(&key);
-                pi.slots[slot as usize] = None;
+                let freed = pi.slots[slot as usize].take().expect("posted targets are live");
+                pi.by_key.remove(&(freed.ty, freed.sat_ty, freed.domain));
                 pi.free.push(slot);
             }
-            pi.invalidate();
+            pi.groups.take();
             if pi.is_empty() {
                 self.pred.remove(&t);
             }
@@ -584,21 +514,13 @@ impl TrieIndex {
                 }
             }
         }
-        for rel in entry.relations {
-            if let Some(p) = self.rel_postings.get_mut(&rel) {
-                p.remove(vid);
-                if p.is_empty() {
-                    self.rel_postings.remove(&rel);
-                }
-            }
-        }
-        self.views.release(name);
         self.removes += 1;
     }
 
     /// Views reading `relation` (case-insensitive), in name order.
     pub fn views_reading(&self, relation: &str) -> Vec<String> {
-        let Some(p) = self.rel_postings.get(&relation.to_ascii_lowercase()) else {
+        let rel = self.tags.id(&relation.to_ascii_lowercase());
+        let Some(p) = rel.and_then(|r| self.postings.get(&Key::Relation(r))) else {
             return Vec::new();
         };
         let mut names: Vec<String> =
@@ -655,29 +577,23 @@ impl TrieIndex {
     pub fn stats(&self) -> IndexStats {
         let mut stats =
             IndexStats { inserts: self.inserts, removes: self.removes, ..IndexStats::default() };
-        for (i, n) in self.nodes.iter().enumerate() {
-            if !n.live || i as u32 == ANCHORED_ROOT || i as u32 == FLOATING_ROOT {
-                continue;
+        for (key, p) in &self.postings {
+            if !matches!(key, Key::Relation(_)) {
+                stats.nodes += 1;
             }
-            stats.nodes += 1;
-            stats.postings += n.postings.len();
-            stats.bytes += std::mem::size_of::<TrieNode>()
-                + n.postings.approx_bytes()
-                + n.children.capacity() * 2 * std::mem::size_of::<u32>();
-        }
-        for p in self.rel_postings.values() {
             stats.postings += p.len();
-            stats.bytes += p.approx_bytes() + 64;
+            stats.bytes += std::mem::size_of::<(Key, Postings)>() + p.approx_bytes();
         }
         for pi in self.pred.values() {
             stats.postings += pi.pass.len();
             stats.bytes += pi.pass.approx_bytes();
             for t in pi.slots.iter().flatten() {
                 stats.postings += t.postings.len();
+                // The target plus its `by_key` copy of the domain.
                 stats.bytes += std::mem::size_of::<PredTarget>()
+                    + std::mem::size_of::<Domain>()
                     + t.postings.approx_bytes()
-                    + t.key.capacity()
-                    + t.domain.ne.capacity() * std::mem::size_of::<Value>();
+                    + 2 * t.domain.ne.capacity() * std::mem::size_of::<Value>();
             }
         }
         stats.bytes += self.views.approx_bytes() + self.tags.approx_bytes();
@@ -686,54 +602,26 @@ impl TrieIndex {
 
     // ---- internals -----------------------------------------------------
 
-    fn child_or_create(&mut self, parent: u32, tag: u32) -> u32 {
-        if let Some(n) = self.nodes[parent as usize].children.get(&tag) {
-            return *n;
-        }
-        let node = TrieNode { parent, tag, live: true, ..TrieNode::default() };
-        let id = match self.node_free.pop() {
-            Some(id) => {
-                self.nodes[id as usize] = node;
-                id
-            }
-            None => {
-                self.nodes.push(node);
-                (self.nodes.len() - 1) as u32
-            }
-        };
-        self.nodes[parent as usize].children.insert(tag, id);
-        id
+    /// The one-slice requirement of `key`'s posting list. A tag the index
+    /// has never seen (`None`) or a key no view carries is a requirement no
+    /// view meets.
+    fn posted(&self, key: Option<Key>) -> Requirement<'_> {
+        key.and_then(|k| self.postings.get(&k)).map(Postings::as_slice).into_iter().collect()
     }
 
-    /// Unlink `n` (and transitively its emptied ancestors) once neither
-    /// postings nor children remain.
-    fn maybe_free_node(&mut self, mut n: u32) {
-        while n != ANCHORED_ROOT && n != FLOATING_ROOT {
-            let node = &self.nodes[n as usize];
-            if !node.live || !node.postings.is_empty() || !node.children.is_empty() {
-                break;
-            }
-            let (parent, tag) = (node.parent, node.tag);
-            self.nodes[parent as usize].children.remove(&tag);
-            self.nodes[n as usize] = TrieNode::default(); // live = false
-            self.node_free.push(n);
-            n = parent;
-        }
-    }
-
-    /// Every requirement `fp` puts on a view, by level: its tokens
-    /// (floating branch); its root children and edges (anchored branch and
-    /// edge nodes); and each constant predicate's allowed slices. A tag or
-    /// edge the index has never seen is a requirement no view meets; a
-    /// predicate on a tag with no level-3 entry requires nothing.
+    /// Every requirement `fp` puts on a view, by level: its tokens; its
+    /// root children and edges; and each constant predicate's allowed
+    /// slices. A predicate on a tag with no level-3 entry requires nothing.
     fn requirements(&self, fp: &Footprint) -> [Vec<Requirement<'_>>; 3] {
-        fn one(postings: Option<&[u32]>) -> Requirement<'_> {
-            postings.into_iter().collect()
-        }
-        let tags = fp.tokens.iter().map(|t| one(self.branch_postings(FLOATING_ROOT, t))).collect();
+        let tag = |t: &str| self.tags.id(t);
+        let tags = fp.tokens.iter().map(|t| self.posted(tag(t).map(Key::Token))).collect();
         let paths = (fp.root_children.iter())
-            .map(|rc| one(self.branch_postings(ANCHORED_ROOT, rc)))
-            .chain(fp.edges.iter().map(|(p, c)| one(self.edge_postings(p, c))))
+            .map(|rc| self.posted(tag(rc).map(Key::RootChild)))
+            .chain(
+                fp.edges
+                    .iter()
+                    .map(|(p, c)| self.posted(tag(p).zip(tag(c)).map(|(p, c)| Key::Edge(p, c)))),
+            )
             .collect();
         let preds = (fp.predicates.iter())
             .filter_map(|(tag, op, value)| {
@@ -742,20 +630,6 @@ impl TrieIndex {
             })
             .collect();
         [tags, paths, preds]
-    }
-
-    fn branch_postings(&self, root: u32, tag: &str) -> Option<&[u32]> {
-        let t = self.tags.id(tag)?;
-        let n = *self.nodes[root as usize].children.get(&t)?;
-        Some(self.nodes[n as usize].postings.as_slice())
-    }
-
-    fn edge_postings(&self, parent: &str, child: &str) -> Option<&[u32]> {
-        let pt = self.tags.id(parent)?;
-        let ct = self.tags.id(child)?;
-        let pn = *self.nodes[FLOATING_ROOT as usize].children.get(&pt)?;
-        let en = *self.nodes[pn as usize].children.get(&ct)?;
-        Some(self.nodes[en as usize].postings.as_slice())
     }
 }
 
@@ -921,6 +795,49 @@ UPDATE $root { INSERT <book><bookid>1</bookid></book> }"#,
         }
         assert_eq!(trie.stats().inserts, 3 + 3);
         assert_eq!(trie.stats().removes, 3);
+    }
+
+    /// Predicate targets dedupe by value. Views with identical domains share
+    /// one slot. Domains that differ only as `price < 20` against
+    /// `price < 20.00` must route, and split the pruned views, exactly as
+    /// the linear index does for `=`, `<` and `>` probes on both sides of
+    /// 20.
+    #[test]
+    fn equal_predicate_domains_share_one_target() {
+        let db = db();
+        let live_slots = |trie: &TrieIndex| {
+            let price = trie.tags.id("price").expect("price is indexed");
+            trie.pred[&price].slots.iter().flatten().count()
+        };
+        let mut trie = TrieIndex::new();
+        trie.insert("cheap", &asg(&db, BOOKS_CHEAP));
+        let one = live_slots(&trie);
+        trie.insert("cheap_again", &asg(&db, BOOKS_CHEAP));
+        assert_eq!(live_slots(&trie), one, "identical domains share a slot");
+
+        // Either spelling may be the one the shared slot keeps.
+        let int_bound = BOOKS_CHEAP.replace("20.00", "20");
+        let (double, int) = (("double", BOOKS_CHEAP), ("int", int_bound.as_str()));
+        for views in [[double, int, ("dear", BOOKS_DEAR)], [int, double, ("dear", BOOKS_DEAR)]] {
+            let (mut trie, mut linear) = (TrieIndex::new(), RelevanceIndex::new());
+            for (name, text) in views {
+                let asg = asg(&db, text);
+                trie.insert(name, &asg);
+                linear.insert(name, &asg);
+            }
+            for op in ["=", "<", ">"] {
+                for value in ["19", "19.50", "20", "20.00", "21", "20.50"] {
+                    let probe = format!(
+                        r#"FOR $b IN document("V.xml")/book WHERE $b/price/text() {op} {value}
+UPDATE $b {{ DELETE $b/title }}"#
+                    );
+                    let u = parse_update(&probe).expect("probe parses");
+                    assert_eq!(trie.route(&u), linear.route(&u), "{probe}");
+                    let fp = Footprint::of(&u);
+                    assert_eq!(trie.prune_levels(&fp), linear.prune_levels(&fp), "{probe}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -155,9 +155,10 @@ impl ShardedCatalog {
         self.read().route_update(u)
     }
 
-    /// Routing-index gauges: live nodes, posting entries, approximate
-    /// resident bytes, and incremental insert/remove counts. The service
-    /// `STATS` verb reports these.
+    /// Routing-index gauges: structural posting lists (tags, root children
+    /// and edges), posting entries, approximate resident bytes, and
+    /// incremental insert/remove counts. The service `STATS` verb reports
+    /// these as its `trie_*` keys.
     pub fn index_stats(&self) -> IndexStats {
         self.read().index_stats()
     }

@@ -116,7 +116,7 @@ pub const STATS_FAMILIES: &[StatsFamily] = &[
         "trie_nodes",
         "ufilter_trie_nodes",
         "gauge",
-        "Live nodes in the shared path-trie routing index.",
+        "Tag, root-child and edge posting lists in the routing index.",
     ),
     fam("trie_postings", "ufilter_trie_postings", "gauge", "Posting entries in the routing trie."),
     fam(
